@@ -47,6 +47,9 @@ __all__ = [
     "SinkSnapshot",
     "graph_digest",
     "prefix_digest",
+    "snapshot_rtp",
+    "snapshot_sink",
+    "value_digest",
 ]
 
 #: Current schema version of the on-disk checkpoint format.  Bump on
@@ -87,8 +90,8 @@ def graph_digest(graph: Any) -> str:
     return hashlib.sha1(serialized.to_json().encode("utf-8")).hexdigest()
 
 
-def prefix_digest(elements: Sequence[Any]) -> str:
-    """SHA-256 over the canonical wire encoding of a sink prefix.
+def value_digest(value: Any) -> str:
+    """SHA-256 over the canonical wire encoding of any codec-safe value.
 
     Uses the serve-layer value codec, which is bit-exact for every
     dtype the apps produce (ints, floats, complex, ndarray windows).
@@ -96,8 +99,13 @@ def prefix_digest(elements: Sequence[Any]) -> str:
     from ..serve.wire import encode_value
 
     return hashlib.sha256(
-        _canonical(encode_value(list(elements))).encode("utf-8")
+        _canonical(encode_value(value)).encode("utf-8")
     ).hexdigest()
+
+
+def prefix_digest(elements: Sequence[Any]) -> str:
+    """SHA-256 over the canonical wire encoding of a sink prefix."""
+    return value_digest(list(elements))
 
 
 @dataclass
@@ -131,6 +139,42 @@ class SinkSnapshot:
             digest=str(obj.get("digest", "")),
             data=obj.get("data"),
         )
+
+
+def snapshot_sink(io_index: int, container: Any, items: int,
+                  dtype: Any) -> SinkSnapshot:
+    """Snapshot the first *items* stream items a bound sink container
+    holds (a list, or an ndarray filled through
+    :class:`~repro.core.sources_sinks.ArraySinkCursor`, where a window
+    stream item is ``dtype.count`` elements).  The data is copied and
+    encoded, so later run progress cannot mutate the snapshot."""
+    from ..core.dtypes import WindowType
+    from ..serve.wire import encode_value
+
+    if isinstance(container, list):
+        data = list(container[:items]) if items else []
+        return SinkSnapshot(
+            io_index=io_index, kind="list", delivered=len(data),
+            digest=prefix_digest(data), data=encode_value(data),
+        )
+    per_item = dtype.count if isinstance(dtype, WindowType) else 1
+    flat = container.reshape(-1)[: items * per_item].copy()
+    return SinkSnapshot(
+        io_index=io_index, kind="array", delivered=items,
+        digest=value_digest(flat), data=encode_value(flat),
+    )
+
+
+def snapshot_rtp(io_index: int, value: Any) -> SinkSnapshot:
+    """Snapshot an RTP output's latched *value* (``None``: never set)."""
+    from ..serve.wire import encode_value
+
+    if value is None:
+        return SinkSnapshot(io_index=io_index, kind="rtp", delivered=0,
+                            digest="", data=None)
+    return SinkSnapshot(io_index=io_index, kind="rtp", delivered=1,
+                        digest=value_digest(value),
+                        data=encode_value(value))
 
 
 @dataclass

@@ -98,12 +98,15 @@ def reconstruct_failure(events: Iterable[Any], graph: Any):
     """Rebuild a :class:`FailureReport` from a failed run's trace.
 
     Purely structural — no kernel executes and no fault is re-injected.
+    The cancelled cone and sink completeness come from the same rules
+    the live backends use (:func:`repro.faults.cone.failure_report`),
+    so the rebuilt report matches the original field for field.
     Returns ``None`` when the trace contains no ``task.fail`` event
     (the run did not fail).
     """
     from ..exec.api import resolve_graph
-    from ..faults.cone import dependent_cone
-    from ..faults.report import FailureReport, TaskFailure
+    from ..faults.cone import dependent_cone, failure_report
+    from ..faults.report import TaskFailure
     from ..observe.events import TASK_FAIL
 
     g = resolve_graph(graph)
@@ -125,7 +128,6 @@ def reconstruct_failure(events: Iterable[Any], graph: Any):
         d.get("task", "") for d in injected_events
         if d.get("fault") == "kernel_raise"
     }
-    kernel_names = {k.instance_name for k in g.kernels}
     # Attribute failures to kernels (a fused driver's task.fail carries
     # the member name when the containment hook re-attributed it; raw
     # source/sink task failures keep their task name).
@@ -139,40 +141,11 @@ def reconstruct_failure(events: Iterable[Any], graph: Any):
     ]
     seeds = {name for name, _ in fails}
     cone = dependent_cone(g, seeds)
-    run_id = ""
-    for ev in evs:
-        if ev.run:
-            run_id = ev.run
-            break
-    # The live runtime's cancelled cone includes the sink feeder tasks
-    # starved by the failure, not just downstream kernels — mirror that
-    # so the rebuilt report matches the original field for field.
-    dead = (seeds & kernel_names) | cone
-    cancelled = set(cone)
-    sink_status: Dict[str, str] = {}
-    for gio in g.outputs:
-        net = g.net(gio.net_id)
-        if net.settings.runtime_parameter:
-            continue
-        prods = {
-            g.kernels[ep.instance_idx].instance_name
-            for ep in net.producers
-        }
-        key = f"sink[{gio.io_index}]"
-        if prods & dead:
-            cancelled.add(key)
-            sink_status[key] = "partial"
-        else:
-            sink_status[key] = "complete"
-    report = FailureReport(
-        policy="replay",
-        failures=failures,
-        cancelled=tuple(sorted(cancelled)),
-        injected_faults=injected_events,
-        run_id=run_id,
+    run_id = next((ev.run for ev in evs if ev.run), "")
+    return failure_report(
+        g, "replay", failures, seeds | cone, cancelled=cone,
+        injected_faults=injected_events, run_id=run_id,
     )
-    report.sink_status.update(sink_status)
-    return report
 
 
 def replay_run(graph: Any, *io: Any, events: Iterable[Any],

@@ -32,22 +32,15 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import CheckpointDivergence, CheckpointError
-from .format import Checkpoint, SinkSnapshot, graph_digest, prefix_digest
+from .format import (
+    Checkpoint,
+    SinkSnapshot,
+    graph_digest,
+    prefix_digest,
+    value_digest,
+)
 
 __all__ = ["ResumeState", "value_digest"]
-
-
-def value_digest(value: Any) -> str:
-    """SHA-256 over the canonical wire encoding of any codec-safe value."""
-    import hashlib
-    import json
-
-    from ..serve.wire import encode_value
-
-    return hashlib.sha256(
-        json.dumps(encode_value(value), sort_keys=True,
-                   separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
 
 
 class ResumeState:

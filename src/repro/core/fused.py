@@ -44,7 +44,7 @@ import numpy as np
 
 from ..errors import GraphRuntimeError, IoBindingError
 from .dtypes import StreamType, WindowType
-from .sources_sinks import ArraySinkCursor, iter_stream_values
+from .sources_sinks import ArraySinkCursor, iter_stream_values, sink_store
 
 __all__ = [
     "ChainMember",
@@ -491,20 +491,10 @@ class SinkStore:
         self.consumer_names: List[str] = []
 
     def bind(self, dtype: StreamType, container: Any):
-        """Attach the user container (mirrors ``make_sink`` semantics)."""
+        """Attach the user container (the shared ``sink_store`` rule)."""
         if self._store is not None:
             raise IoBindingError(f"store {self.name!r} already bound")
-        if isinstance(container, list):
-            self._store = container.append
-            self._cursor = None
-        elif isinstance(container, np.ndarray):
-            self._cursor = ArraySinkCursor(container, dtype)
-            self._store = self._cursor.store
-        else:
-            raise IoBindingError(
-                f"unsupported sink container {type(container).__name__}; "
-                f"pass a list or a pre-allocated numpy array"
-            )
+        self._store, self._cursor = sink_store(dtype, container)
 
     # -- wiring --------------------------------------------------------------
 

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..errors import (
     DeadlockError,
     GraphRuntimeError,
     InjectedFaultError,
     IoBindingError,
 )
+from ..faults.cone import cancelled_sinks, dependent_cone, failure_report
 from ..faults.plan import FaultPlan
 from ..faults.report import FailureReport, TaskFailure, TeardownError
 from ..faults.waitfor import analyze_waiters
@@ -44,14 +43,13 @@ from .fused import (
     SinkStore,
     SourceFeed,
 )
-from .dtypes import WindowType
 from .graph import ComputeGraph, Net
 from .ports import KernelReadPort, KernelWritePort
 from .queues import BroadcastQueue, DEFAULT_QUEUE_CAPACITY, LatchQueue
 from .scheduler import CooperativeScheduler, SchedulerStats, TaskState
 from .sources_sinks import (
-    ArraySinkCursor,
     RuntimeParam,
+    check_io,
     make_sink,
     make_source,
 )
@@ -251,18 +249,16 @@ class RuntimeContext:
         self._kernel_ports: List[Tuple] = []       # per-instance port lists
         self._io_bound = False
         self._sources: List[Tuple[int, Any]] = []  # (input_idx, coroutine)
-        self._sinks: List[Tuple[int, Any, Optional[ArraySinkCursor]]] = []
+        self._sinks: List[Tuple[int, Any]] = []    # (output_idx, coroutine)
         self._rtp_sinks: List[Tuple[int, LatchQueue, RuntimeParam]] = []
-        # (io_index, container, dtype, net_id) of fused-store-bound
-        # outputs — the checkpoint layer snapshots these alongside
-        # ``_sinks``.
-        self._store_sinks: List[Tuple[int, Any, Any, int]] = []
+        # (io_index, container, dtype, counter) of every bound stream
+        # output, for item accounting and checkpoint snapshots; counter
+        # (an ``ArraySinkCursor`` or SinkStore) reports ``items_stored``,
+        # None for a list filled by a sink task.
+        self._outputs: List[Tuple[int, Any, Any, Any]] = []
         self._source_tasks: List = []
-        self._sink_cursors: List[ArraySinkCursor] = []
-        self._containers_out: List[Any] = []
         self._drivers: List[FusedDriver] = []
         self._feeds: Dict[int, SourceFeed] = {}    # net_id -> feed
-        self._stores: Dict[int, SinkStore] = {}    # net_id -> store
         # Containment wiring (repro.faults): which shared queues each
         # scheduler task reads (queue, consumer_idx) and writes, which
         # original instances each task carries, and the member makeup of
@@ -274,7 +270,6 @@ class RuntimeContext:
         self._member_instances: Dict[str, Tuple[str, ...]] = {}
         self._driver_members: Dict[str, Tuple[str, ...]] = {}
         self._store_owner: Dict[int, str] = {}     # store net -> driver
-        self._source_net: Dict[str, int] = {}      # source task -> net
 
         plan = optimize_plan
         if plan is not None and plan.chains:
@@ -312,7 +307,6 @@ class RuntimeContext:
                 self._feeds[net.net_id] = q
             elif net.net_id in store_nets:
                 q = SinkStore(name=net.name)
-                self._stores[net.net_id] = q
             else:
                 depth = net.settings.depth
                 if depth is None:
@@ -475,75 +469,13 @@ class RuntimeContext:
                 if drv_blocked is not None:
                     stats.task_blocked_time[m.name] = m.blocked_time
 
-    # -- failure containment (repro.faults) ------------------------------------------
-
-    def _downstream_cone(self, seed_instances: Set[str]) -> Set[str]:
-        """Instance names strictly downstream of *seed_instances* in the
-        serialized graph — the dependent cone a failure invalidates."""
-        from ..faults.cone import dependent_cone
-
-        return dependent_cone(self.graph, seed_instances)
-
-    def _cone_sinks(self, dead_instances: Set[str]) -> List[str]:
-        """``sink[i]`` tasks every one of whose producers is dead — no
-        further element can ever reach them."""
-        g = self.graph
-        out = []
-        for gio in g.outputs:
-            net = g.net(gio.net_id)
-            prods = {
-                g.kernels[ep.instance_idx].instance_name
-                for ep in net.producers
-            }
-            if prods and prods <= dead_instances:
-                out.append(f"sink[{gio.io_index}]")
-        return out
-
-    def _build_failure_report(self, hook, sched, stats) -> FailureReport:
-        session = self.fault_session
-        report = FailureReport(
-            policy=self.on_error,
-            failures=list(hook.failures),
-            cancelled=tuple(sorted(hook.cancelled)),
-            collateral=tuple(sorted(hook.collateral)),
-            poisoned=tuple(hook.poisoned),
-            teardown_errors=[
-                TeardownError(nm, err) for nm, err in sched.teardown_errors
-            ],
-            injected_faults=list(session.events)
-            if session is not None else [],
-        )
-        # Sink completeness: a sink is partial when it was itself
-        # cancelled/poisoned or when any producer feeding its net died —
-        # either way it can only hold a prefix of the fault-free stream.
-        g = self.graph
-        dead_sinks = set(hook.cancelled) | set(hook.poisoned)
-        for gio in g.outputs:
-            net = g.net(gio.net_id)
-            if net.settings.runtime_parameter:
-                continue
-            key = f"sink[{gio.io_index}]"
-            prods = {
-                g.kernels[ep.instance_idx].instance_name
-                for ep in net.producers
-            }
-            partial = key in dead_sinks or bool(prods & hook.dead_instances)
-            report.sink_status[key] = "partial" if partial else "complete"
-        return report
-
     # -- global I/O binding (§3.7) ---------------------------------------------------
 
     def bind_io(self, *io: Any) -> None:
         """Attach data sources and sinks, positionally: all graph inputs
         first, then all graph outputs."""
         g = self.graph
-        expected = len(g.inputs) + len(g.outputs)
-        if len(io) != expected:
-            raise IoBindingError(
-                f"graph {g.name!r} takes {len(g.inputs)} source(s) + "
-                f"{len(g.outputs)} sink(s) = {expected} positional I/O "
-                f"argument(s), got {len(io)}"
-            )
+        check_io(g, io)
         if self._io_bound:
             raise IoBindingError("I/O already bound for this run")
         self._io_bound = True
@@ -568,39 +500,29 @@ class RuntimeContext:
                 self._sources.append((gio.io_index, coro))
                 q.producer_names.append(f"source[{gio.io_index}]")
                 self._task_outputs[f"source[{gio.io_index}]"] = [q]
-                self._source_net[f"source[{gio.io_index}]"] = gio.net_id
 
         for gio, container in zip(g.outputs, io[len(g.inputs):]):
             net = g.net(gio.net_id)
             q = self.queues[gio.net_id]
             if net.settings.runtime_parameter:
-                if not isinstance(container, RuntimeParam):
-                    raise IoBindingError(
-                        f"output {gio.name!r} is a runtime parameter; pass "
-                        f"a RuntimeParam sink"
-                    )
                 if not isinstance(q, LatchQueue):  # pragma: no cover
                     raise GraphRuntimeError("RTP net lacks a latch queue")
                 self._rtp_sinks.append((gio.io_index, q, container))
             elif isinstance(q, SinkStore):
                 # Fused-chain output: writes land in the container as the
-                # driver produces them, no sink task.  Kept out of
-                # ``_sinks``/``_containers_out`` (those pair sink tasks
-                # with their cursors); item accounting reads the store.
+                # driver produces them, no sink task.
                 q.bind(net.dtype, container)
                 q.consumer_names.append(f"sink[{gio.io_index}]")
-                self._store_sinks.append(
-                    (gio.io_index, container, net.dtype, gio.net_id))
+                self._outputs.append((gio.io_index, container, net.dtype, q))
             else:
                 cidx = self._alloc_consumer(gio.net_id)
                 coro, cursor = make_sink(q, cidx, net.dtype, container,
                                          batch=self.batch_io)
                 q.consumer_names.append(f"sink[{gio.io_index}]")
                 self._task_inputs[f"sink[{gio.io_index}]"] = [(q, cidx)]
-                self._sinks.append((gio.io_index, coro, cursor))
-                self._containers_out.append((gio.io_index, container))
-                if cursor is not None:
-                    self._sink_cursors.append(cursor)
+                self._sinks.append((gio.io_index, coro))
+                self._outputs.append(
+                    (gio.io_index, container, net.dtype, cursor))
 
     # -- item accounting / checkpoint state --------------------------------------------
 
@@ -610,76 +532,26 @@ class RuntimeContext:
             for gio in self.graph.inputs
         )
 
-    def _count_items_out(self) -> int:
-        items_out = 0
-        for (_sidx, _coro, cursor), (_cidx, container) in zip(
-            self._sinks, self._containers_out
-        ):
-            if cursor is not None:
-                items_out += cursor.items_stored
-            elif isinstance(container, list):
-                items_out += len(container)
-        for store in self._stores.values():
-            items_out += store.items_stored
-        return items_out
-
     @staticmethod
-    def _snapshot_container(io_index: int, container: Any,
-                            items: int, dtype: Any):
-        """Build one :class:`SinkSnapshot` from a bound sink container
-        at a quiescent point (the data is copied/encoded, so later run
-        progress cannot mutate the snapshot)."""
-        from ..checkpoint.format import SinkSnapshot, prefix_digest
-        from ..checkpoint.resume import value_digest
-        from ..serve.wire import encode_value
+    def _delivered(container: Any, counter: Any) -> int:
+        return len(container) if counter is None else counter.items_stored
 
-        if isinstance(container, list):
-            data = list(container[:items]) if items else []
-            return SinkSnapshot(
-                io_index=io_index, kind="list", delivered=len(data),
-                digest=prefix_digest(data), data=encode_value(data),
-            )
-        # ndarray sink: the delivered prefix is the first ``items``
-        # stream items; window streams fill dtype.count elements each.
-        per_item = dtype.count if isinstance(dtype, WindowType) else 1
-        flat = container.reshape(-1)[: items * per_item].copy()
-        return SinkSnapshot(
-            io_index=io_index, kind="array", delivered=items,
-            digest=value_digest(flat), data=encode_value(flat),
-        )
+    def _count_items_out(self) -> int:
+        return sum(self._delivered(container, counter)
+                   for _idx, container, _dtype, counter in self._outputs)
 
     def checkpoint_state(self) -> Dict[str, Any]:
         """Logical run state at the current quiescent point — the
         payload the checkpoint layer persists (see repro.checkpoint)."""
-        from ..serve.wire import encode_value
+        from ..checkpoint.format import snapshot_rtp, snapshot_sink
 
-        sinks = []
-        for (sidx, _coro, cursor), (_cidx, container) in zip(
-            self._sinks, self._containers_out
-        ):
-            if cursor is not None:
-                sinks.append(self._snapshot_container(
-                    sidx, container, cursor.items_stored, cursor.dtype))
-            else:
-                sinks.append(self._snapshot_container(
-                    sidx, container, len(container), None))
-        for sidx, container, dtype, net_id in self._store_sinks:
-            store = self._stores.get(net_id)
-            items = store.items_stored if store is not None else (
-                len(container) if isinstance(container, list) else 0)
-            sinks.append(self._snapshot_container(
-                sidx, container, items, dtype))
-        for ridx, latch, _param in self._rtp_sinks:
-            from ..checkpoint.format import SinkSnapshot
-            from ..checkpoint.resume import value_digest
-
-            value = latch.last_value
-            sinks.append(SinkSnapshot(
-                io_index=ridx, kind="rtp",
-                delivered=0 if value is None else 1,
-                digest=value_digest(value) if value is not None else "",
-                data=encode_value(value) if value is not None else None,
-            ))
+        sinks = [
+            snapshot_sink(idx, container, self._delivered(container, counter),
+                          dtype)
+            for idx, container, dtype, counter in self._outputs
+        ]
+        sinks.extend(snapshot_rtp(ridx, latch.last_value)
+                     for ridx, latch, _param in self._rtp_sinks)
         sources = {
             gio.io_index: getattr(self.queues[gio.net_id], "total_puts", 0)
             for gio in self.graph.inputs
@@ -756,7 +628,7 @@ class RuntimeContext:
             self._source_tasks.append(
                 sched.spawn(f"source[{idx}]", coro, kind="source")
             )
-        for idx, coro, _cursor in self._sinks:
+        for idx, coro in self._sinks:
             sched.spawn(f"sink[{idx}]", coro, kind="sink")
 
         ckpt_session = None
@@ -872,7 +744,7 @@ class RuntimeContext:
 
         failure = None
         if hook is not None and (hook.failures or hook.poisoned):
-            failure = self._build_failure_report(hook, sched, stats)
+            failure = hook.report()
             if ckpt_session is not None:
                 path = ckpt_session.capture_on_fault()
                 if path:
@@ -1008,6 +880,22 @@ class _ContainmentHook:
             insts.update(m_insts)
         return insts
 
+    def report(self) -> FailureReport:
+        """The run's :class:`FailureReport`, from the shared rules."""
+        session = self.ctx.fault_session
+        return failure_report(
+            self.ctx.graph, self.policy, self.failures, self.dead_instances,
+            cancelled=self.cancelled,
+            collateral=tuple(sorted(self.collateral)),
+            poisoned=tuple(self.poisoned),
+            teardown_errors=[
+                TeardownError(nm, err)
+                for nm, err in self.sched.teardown_errors
+            ],
+            injected_faults=list(session.events)
+            if session is not None else [],
+        )
+
     # -- scheduler callbacks --------------------------------------------------
 
     def task_failed(self, task, exc) -> None:
@@ -1032,18 +920,7 @@ class _ContainmentHook:
             return
 
         # isolate: cancel the exact dependent cone now.
-        if task.kind == "source":
-            net_id = ctx._source_net.get(task.name)
-            direct = set()
-            if net_id is not None:
-                net = ctx.graph.net(net_id)
-                direct = {
-                    ctx.graph.kernels[ep.instance_idx].instance_name
-                    for ep in net.consumers
-                }
-            cone = direct | ctx._downstream_cone(direct)
-        else:
-            cone = ctx._downstream_cone(seeds)
+        cone = dependent_cone(ctx.graph, seeds)
         self.dead_instances.update(cone)
         self.cancelled.update(cone)
         # Map cone instances to their scheduler tasks; a fused driver
@@ -1057,7 +934,7 @@ class _ContainmentHook:
                         self.collateral.add(orig)
                         self.dead_instances.add(orig)
             self._cancel_task(name)
-        for sink in self.ctx._cone_sinks(self.dead_instances):
+        for sink in cancelled_sinks(ctx.graph, self.dead_instances):
             self.cancelled.add(sink)
             self._cancel_task(sink)
 

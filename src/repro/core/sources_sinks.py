@@ -37,6 +37,9 @@ __all__ = [
     "iter_stream_values",
     "make_source",
     "make_sink",
+    "sink_store",
+    "rtp_sink",
+    "check_io",
     "ArraySinkCursor",
 ]
 
@@ -303,27 +306,71 @@ async def _sink_coro_batched(queue: BroadcastQueue, consumer_idx: int,
             store(v)
 
 
+def sink_store(dtype: StreamType, container: Any):
+    """How a stream output fills its sink *container* (§3.7).
+
+    Returns ``(store, cursor_or_None)``: a ``list`` is appended to, a
+    pre-allocated numpy array is filled front to back through an
+    :class:`ArraySinkCursor` (which also reports its item count).
+    Anything else is rejected.  Every backend binds its stream sinks
+    through this one rule.
+    """
+    if isinstance(container, list):
+        return container.append, None
+    if isinstance(container, np.ndarray):
+        cursor = ArraySinkCursor(container, dtype)
+        return cursor.store, cursor
+    raise IoBindingError(
+        f"unsupported sink container {type(container).__name__}; pass a "
+        f"list or a pre-allocated numpy array"
+    )
+
+
+def rtp_sink(name: str, container: Any) -> RuntimeParam:
+    """The :class:`RuntimeParam` box receiving RTP output *name*."""
+    if not isinstance(container, RuntimeParam):
+        raise IoBindingError(
+            f"output {name!r} is a runtime parameter; pass a "
+            f"RuntimeParam sink"
+        )
+    return container
+
+
+def check_io(graph: Any, io: Any) -> None:
+    """Reject a positional I/O tuple (sources first, then sinks, §3.7)
+    that cannot bind to *graph*: the wrong argument count, or a sink
+    container :func:`sink_store` / :func:`rtp_sink` would refuse.
+
+    Backends that bind late (cgsim-mp merges sinks only after its
+    workers finish) run this at prepare time, so a bad sink fails
+    before any work starts.
+    """
+    n_in, n_out = len(graph.inputs), len(graph.outputs)
+    if len(io) != n_in + n_out:
+        raise IoBindingError(
+            f"graph {graph.name!r} takes {n_in} source(s) + {n_out} "
+            f"sink(s) = {n_in + n_out} positional I/O argument(s), got "
+            f"{len(io)}"
+        )
+    for gio, container in zip(graph.outputs, io[n_in:]):
+        net = graph.net(gio.net_id)
+        if net.settings.runtime_parameter:
+            rtp_sink(gio.name, container)
+        else:
+            sink_store(net.dtype, container)
+
+
 def make_sink(queue: BroadcastQueue, consumer_idx: int,
               dtype: StreamType, container: Any,
               batch: Optional[int] = None):
     """Build the sink coroutine draining *queue* into *container*.
 
-    Returns ``(coroutine, cursor_or_None)``; the cursor reports item
-    counts for array containers.  ``batch`` > 1 drains the queue through
-    bulk ring reads of up to *batch* elements per resume (up-to
-    semantics, so a tail shorter than the batch still drains).
+    Returns ``(coroutine, cursor_or_None)`` (see :func:`sink_store`).
+    ``batch`` > 1 drains the queue through bulk ring reads of up to
+    *batch* elements per resume (up-to semantics, so a tail shorter
+    than the batch still drains).
     """
-    if isinstance(container, list):
-        store = container.append
-        cursor = None
-    elif isinstance(container, np.ndarray):
-        cursor = ArraySinkCursor(container, dtype)
-        store = cursor.store
-    else:
-        raise IoBindingError(
-            f"unsupported sink container {type(container).__name__}; pass a "
-            f"list or a pre-allocated numpy array"
-        )
+    store, cursor = sink_store(dtype, container)
     if batch is not None and batch > 1:
         return _sink_coro_batched(queue, consumer_idx, store, batch), cursor
     return _sink_coro(queue, consumer_idx, store), cursor

@@ -11,8 +11,9 @@ execution under failure).  It has three faces:
   through the ``faults=`` run option, and every triggered injection is
   emitted as a ``fault.inject`` event on the ``repro.observe`` trace.
 
-* **Containment** (:mod:`repro.faults.report` + the runtime's
-  ``on_error=`` policy): instead of tearing the whole run down, a
+* **Containment** (:mod:`repro.faults.cone`, :mod:`repro.faults.report`
+  + each backend's ``on_error=`` policy): instead of tearing the whole
+  run down, a
   failing kernel can be *isolated* (its dependent cone cancelled, the
   rest of the graph drains normally) or *poison* its output streams
   (dependents terminate at the exact element where the data ends).  The

@@ -64,8 +64,11 @@ class CgsimMpBackend(ExecutionBackend):
     def prepare(self, graph: Any, io: Tuple[Any, ...],
                 **options: Any) -> ExecutionPlan:
         from ..core.queues import DEFAULT_QUEUE_CAPACITY
+        from ..core.sources_sinks import check_io
 
         g = resolve_graph(graph)
+        # Sinks are filled only after the farm ran; vet them now.
+        check_io(g, io)
         opts = {
             "workers": options.pop("workers", 2),
             "capacity": options.pop("capacity", DEFAULT_QUEUE_CAPACITY),

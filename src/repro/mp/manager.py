@@ -2,6 +2,9 @@
 
 :func:`run_sharded` is the whole lifecycle:
 
+0. **check** — the positional I/O is vetted by the shared binder
+   (:func:`~repro.core.sources_sinks.check_io`) before anything forks,
+   so a bad sink container fails as fast as on cgsim;
 1. **place** — :func:`~repro.mp.placement.place_graph` cuts the graph
    into per-worker shards with an acyclic, id-ordered worker quotient;
 2. **allocate** — one :class:`~repro.mp.shm_ring.ShmRing` per
@@ -13,10 +16,14 @@
    reporting (``os._exit``, a segfault, the OOM killer) triggers
    containment: the remaining farm is torn down and the run returns a
    :class:`~repro.faults.FailureReport` whose cancelled cone names
-   every kernel instance downstream of the lost shard
-   (:func:`repro.faults.dependent_cone` over the full graph);
+   every kernel instance downstream of the lost shard.  The report is
+   built by :func:`repro.faults.cone.failure_report`, the same rules
+   every backend and trace replay use, with the lost shard and the
+   sinks it homed added to the dead set;
 5. **merge** — sink payloads land in the caller's containers in net
-   FIFO order (bit-identical to a single-process run), RTP latch values
+   FIFO order (bit-identical to a single-process run; list sinks take
+   one bulk ``extend``, arrays fill through the shared
+   :func:`~repro.core.sources_sinks.sink_store`), RTP latch values
    fill the caller's :class:`~repro.core.sources_sinks.RuntimeParam`
    boxes, per-worker statistics are summed, and observe events from all
    workers are sorted by timestamp and fed through
@@ -31,12 +38,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.queues import DEFAULT_QUEUE_CAPACITY
-from ..core.sources_sinks import ArraySinkCursor, RuntimeParam
-from ..errors import GraphRuntimeError, IoBindingError
-from ..faults.cone import dependent_cone
+from ..core.sources_sinks import RuntimeParam, check_io, sink_store
+from ..errors import GraphRuntimeError
+from ..faults.cone import dependent_cone, failure_report
 from ..faults.report import FailureReport, TaskFailure
 from .placement import Placement, place_graph
 from .shm_ring import DEFAULT_RING_BYTES, ShmRing
@@ -115,21 +120,12 @@ class MpRunReport:
         )
 
 
-def _check_io(graph, io: Tuple[Any, ...]) -> None:
-    expected = len(graph.inputs) + len(graph.outputs)
-    if len(io) != expected:
-        raise IoBindingError(
-            f"graph {graph.name!r} takes {len(graph.inputs)} source(s) + "
-            f"{len(graph.outputs)} sink(s) = {expected} positional I/O "
-            f"argument(s), got {len(io)}"
-        )
-
-
 def _merge_outputs(graph, placement: Placement, io, results,
                    validate: bool = False) -> Tuple[int, Dict[int, int]]:
     """Copy worker sink payloads / RTP values into the caller's
-    containers; returns total items delivered plus the per-sink
-    delivered counts ``{io_index: n}`` (the checkpoint layer's input)."""
+    containers (already vetted by ``check_io`` before the fork);
+    returns total items delivered plus the per-sink delivered counts
+    ``{io_index: n}`` (the checkpoint layer's input)."""
     n_in = len(graph.inputs)
     items_out = 0
     counts: Dict[int, int] = {}
@@ -137,11 +133,6 @@ def _merge_outputs(graph, placement: Placement, io, results,
         container = io[n_in + gio.io_index]
         net = graph.net(gio.net_id)
         if net.settings.runtime_parameter:
-            if not isinstance(container, RuntimeParam):
-                raise IoBindingError(
-                    f"output {gio.name!r} is a runtime parameter; pass a "
-                    f"RuntimeParam sink"
-                )
             home = placement.sink_home(gio.io_index)
             msg = results.get(home)
             value = msg["rtp"].get(gio.io_index) if msg else None
@@ -159,16 +150,11 @@ def _merge_outputs(graph, placement: Placement, io, results,
         msg = results.get(home)
         payload = msg["sinks"].get(gio.io_index, []) if msg else []
         if isinstance(container, list):
-            container.extend(payload)
-        elif isinstance(container, np.ndarray):
-            cursor = ArraySinkCursor(container, net.dtype)
-            for v in payload:
-                cursor.store(v)
+            container.extend(payload)  # bulk path for the common case
         else:
-            raise IoBindingError(
-                f"unsupported sink container {type(container).__name__}; "
-                f"pass a list or a pre-allocated numpy array"
-            )
+            store, _cursor = sink_store(net.dtype, container)
+            for v in payload:
+                store(v)
         counts[gio.io_index] = len(payload)
         items_out += len(payload)
     return items_out, counts
@@ -190,34 +176,24 @@ def _capture_mp_checkpoint(graph, io, policy, reason: str, *,
 
     from ..checkpoint.format import (
         Checkpoint,
-        SinkSnapshot,
         default_checkpoint_name,
         fresh_timestamp,
         graph_digest,
+        snapshot_rtp,
+        snapshot_sink,
     )
-    from ..checkpoint.resume import value_digest
-    from ..core.runtime import RuntimeContext
-    from ..serve.wire import encode_value
 
     n_in = len(graph.inputs)
     sinks = []
     for gio in graph.outputs:
         container = io[n_in + gio.io_index]
-        net = graph.net(gio.net_id)
-        if net.settings.runtime_parameter:
-            value = container.value \
-                if isinstance(container, RuntimeParam) else None
-            sinks.append(SinkSnapshot(
-                io_index=gio.io_index, kind="rtp",
-                delivered=0 if value is None else 1,
-                digest=value_digest(value) if value is not None else "",
-                data=encode_value(value) if value is not None else None,
+        if graph.net(gio.net_id).settings.runtime_parameter:
+            sinks.append(snapshot_rtp(gio.io_index, container.value))
+        else:
+            sinks.append(snapshot_sink(
+                gio.io_index, container, counts.get(gio.io_index, 0),
+                graph.net(gio.net_id).dtype,
             ))
-            continue
-        sinks.append(RuntimeContext._snapshot_container(
-            gio.io_index, container,
-            counts.get(gio.io_index, 0), net.dtype,
-        ))
     ckpt = Checkpoint(
         graph_name=graph.name,
         graph_digest=graph_digest(graph),
@@ -276,42 +252,33 @@ def _merge_profiles(results):
 def _containment_report(graph, placement: Placement, dead_wid: int,
                         error: BaseException, results,
                         failing_task: str = "") -> FailureReport:
-    """Worker-loss containment: the dependent cone of every instance the
-    dead worker carried is cancelled; sinks fed (transitively) by the
-    dead shard are partial."""
+    """Worker-loss containment: the dependent cone of the failing
+    instance (or, for a hard death, of every instance the dead worker
+    carried) is cancelled.  The dead set adds the lost shard and the
+    sinks whose home worker is gone or has not reported."""
     dead_insts = {
         graph.kernels[i].instance_name
         for i in placement.shards[dead_wid]
     }
     seeds = {failing_task} if failing_task in dead_insts else dead_insts
     cone = dependent_cone(graph, seeds)
-    all_dead = seeds | cone
-    report = FailureReport(
-        policy="isolate",
-        failures=[TaskFailure(
-            task=failing_task or f"worker[{dead_wid}]",
-            error=error,
-            via=f"worker[{dead_wid}]",
-        )],
-        cancelled=tuple(sorted(cone)),
+    homes = {gio.io_index: placement.sink_home(gio.io_index)
+             for gio in graph.outputs}
+    lost_sinks = {f"sink[{i}]" for i, home in homes.items()
+                  if home == dead_wid or home not in results}
+    return failure_report(
+        graph, "isolate",
+        [TaskFailure(task=failing_task or f"worker[{dead_wid}]",
+                     error=error, via=f"worker[{dead_wid}]")],
+        dead_insts | cone | lost_sinks,
+        cancelled=cone,
+        # Sink tasks run in surviving workers and drain the released
+        # rings to end-of-stream: partial, never cancelled.
+        cancel_sinks=False,
         # Healthy kernels that shared the lost process: terminated by
         # the loss, not by dataflow dependence.
         collateral=tuple(sorted(dead_insts - seeds)),
     )
-    for gio in graph.outputs:
-        net = graph.net(gio.net_id)
-        if net.settings.runtime_parameter:
-            continue
-        key = f"sink[{gio.io_index}]"
-        prods = {
-            graph.kernels[ep.instance_idx].instance_name
-            for ep in net.producers
-        }
-        home = placement.sink_home(gio.io_index)
-        partial = bool(prods & (all_dead | dead_insts)) \
-            or home == dead_wid or home not in results
-        report.sink_status[key] = "partial" if partial else "complete"
-    return report
 
 
 def _release_downstream(rings: Dict[Tuple[int, int, int], ShmRing],
@@ -377,7 +344,7 @@ def run_sharded(graph, io: Tuple[Any, ...], *,
         raise GraphRuntimeError(
             f"on_error={on_error!r}; cgsim-mp supports 'fail' or 'isolate'"
         )
-    _check_io(graph, io)
+    check_io(graph, io)
     placement = place_graph(graph, workers)
     n_workers = placement.n_workers
     tracer = observe

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..core.builder import CompiledGraph
 from ..core.graph import ComputeGraph
 from ..core.ports import KernelReadPort, KernelWritePort
@@ -31,17 +29,18 @@ from ..core.queues import DEFAULT_QUEUE_CAPACITY
 from ..core.sources_sinks import (
     ArraySinkCursor,
     RuntimeParam,
+    check_io,
     iter_stream_values,
-    make_sink,
+    sink_store,
 )
 from ..errors import (
     GraphRuntimeError,
     InjectedFaultError,
-    IoBindingError,
     PoisonSignal,
     SimDeadlockError,
     SimulationError,
 )
+from ..faults.cone import dependent_cone, failure_report
 from ..faults.plan import FaultPlan
 from ..faults.report import FailureReport, TaskFailure
 from ..faults.waitfor import Waiter, analyze_waiters
@@ -209,13 +208,15 @@ class _KernelThread(threading.Thread):
 
 class _SourceThread(threading.Thread):
     def __init__(self, name: str, queue: ThreadedBroadcastQueue, values,
-                 timeout: Optional[float], tracer=None):
+                 timeout: Optional[float], tracer=None,
+                 poison_on_error: bool = False):
         super().__init__(name=f"x86sim-{name}", daemon=True)
         self.task = name
         self.queue = queue
         self.values = values
         self.timeout = timeout
         self.tracer = tracer
+        self.poison_on_error = poison_on_error
         self.error: Optional[BaseException] = None
         self.stalled = False
         self.waiting_on: Optional[Tuple[str, str]] = None
@@ -250,6 +251,11 @@ class _SourceThread(threading.Thread):
             self.error = exc
             if tracer is not None:
                 tracer.task_fail(self.task, exc)
+            if self.poison_on_error and isinstance(exc, Exception) \
+                    and not self.stalled:
+                # on_error="poison": the readers end at the truncation
+                # point, as they do behind a failed kernel.
+                self.queue.poison(self.task)
         finally:
             self.queue.producer_done()
 
@@ -365,6 +371,7 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
             f"on_error={on_error!r}; expected 'fail', 'isolate', or "
             f"'poison'"
         )
+    check_io(g, io)
     fault_plan = FaultPlan.coerce(faults)
     session = fault_plan.session(g) if fault_plan is not None else None
     tracer = None
@@ -376,12 +383,6 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
         owns_tracer = tracer is not observe
     if session is not None:
         session.attach_tracer(tracer)
-    expected = len(g.inputs) + len(g.outputs)
-    if len(io) != expected:
-        raise IoBindingError(
-            f"graph {g.name!r} takes {expected} positional I/O arguments, "
-            f"got {len(io)}"
-        )
 
     # Channels: one per net; producer count = kernel writers + sources.
     queues: Dict[int, Any] = {}
@@ -457,7 +458,6 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
     # Sources.
     sinks: List[_SinkThread] = []
     sink_cursors: List[ArraySinkCursor] = []
-    out_lists: List[list] = []
     rtp_sinks: List[Tuple[ThreadedLatchQueue, RuntimeParam]] = []
     for gio, container in zip(g.inputs, io[:len(g.inputs)]):
         net = g.net(gio.net_id)
@@ -470,7 +470,8 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
             values = iter_stream_values(net.dtype, container)
             q.producer_names.append(f"source[{gio.io_index}]")
             threads.append(_SourceThread(
-                f"source[{gio.io_index}]", q, values, timeout, tracer=tracer
+                f"source[{gio.io_index}]", q, values, timeout, tracer=tracer,
+                poison_on_error=(on_error == "poison"),
             ))
 
     # Sinks.
@@ -478,25 +479,12 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
         net = g.net(gio.net_id)
         q = queues[gio.net_id]
         if net.settings.runtime_parameter:
-            if not isinstance(container, RuntimeParam):
-                raise IoBindingError(
-                    f"output {gio.name!r} is a runtime parameter; pass a "
-                    f"RuntimeParam sink"
-                )
             rtp_sinks.append((q, container))
             continue
         cidx = alloc_consumer(gio.net_id)
-        if isinstance(container, list):
-            store = container.append
-            out_lists.append(container)
-        elif isinstance(container, np.ndarray):
-            cursor = ArraySinkCursor(container, net.dtype)
+        store, cursor = sink_store(net.dtype, container)
+        if cursor is not None:
             sink_cursors.append(cursor)
-            store = cursor.store
-        else:
-            raise IoBindingError(
-                f"unsupported sink container {type(container).__name__}"
-            )
         q.consumer_names.append(f"sink[{gio.io_index}]")
         t = _SinkThread(f"sink[{gio.io_index}]", q, cidx, store, timeout,
                         tracer=tracer)
@@ -514,25 +502,6 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
         owns_tracer=owns_tracer, session=session, on_error=on_error,
         strict=strict,
     )
-
-
-def _static_cone(g: ComputeGraph, seeds: set) -> set:
-    """Instance names strictly downstream of *seeds* in the serialized
-    graph (the dependent cone a failure isolates)."""
-    from ..faults.cone import dependent_cone
-
-    return dependent_cone(g, seeds)
-
-
-def _source_seed_consumers(g: ComputeGraph, queue_name: str) -> set:
-    """Direct consumer instances of the net a failed source fed."""
-    for net in g.nets:
-        if net.name == queue_name:
-            return {
-                g.kernels[ep.instance_idx].instance_name
-                for ep in net.consumers
-            }
-    return set()
 
 
 def _collect_waiters(plan: X86Plan) -> List[Waiter]:
@@ -579,49 +548,19 @@ def _containment_report(plan: X86Plan, failed: List[threading.Thread],
     from the serialized graph (threads have already terminated via the
     drain protocol; the report states which ones died *because* of the
     failure rather than end-of-input)."""
-    g = plan.graph
     session = plan.session
-    failures = [
-        TaskFailure(task=t.task, error=t.error,
-                    injected=isinstance(t.error, InjectedFaultError))
-        for t in failed
-    ]
-    seeds: set = set()
-    for t in failed:
-        if isinstance(t, _SourceThread):
-            seeds |= _source_seed_consumers(g, t.queue.name or "")
-        else:
-            seeds.add(t.task)
-    dead = set(seeds)
-    cancelled: set = set()
-    if plan.on_error == "isolate":
-        cone = _static_cone(g, seeds)
-        # A failed source's direct consumers are cone, not failures.
-        cone |= seeds - {t.task for t in failed}
-        dead |= cone
-        cancelled |= cone
+    failed_names = {t.task for t in failed}
     poisoned_names = [t.task for t in poisoned]
-    dead |= set(poisoned_names)
-    sink_status: Dict[str, str] = {}
-    for gio in g.outputs:
-        net = g.net(gio.net_id)
-        if net.settings.runtime_parameter:
-            continue
-        key = f"sink[{gio.io_index}]"
-        prods = {
-            g.kernels[ep.instance_idx].instance_name
-            for ep in net.producers
-        }
-        hit = key in dead or bool(prods & dead)
-        sink_status[key] = "partial" if hit else "complete"
-        if plan.on_error == "isolate" and prods and prods <= dead:
-            cancelled.add(key)
-    return FailureReport(
-        policy=plan.on_error,
-        failures=failures,
-        cancelled=tuple(sorted(cancelled)),
+    cone = dependent_cone(plan.graph, failed_names) \
+        if plan.on_error == "isolate" else set()
+    return failure_report(
+        plan.graph, plan.on_error,
+        [TaskFailure(task=t.task, error=t.error,
+                     injected=isinstance(t.error, InjectedFaultError))
+         for t in failed],
+        failed_names | cone | set(poisoned_names),
+        cancelled=cone,
         poisoned=tuple(poisoned_names),
-        sink_status=sink_status,
         injected_faults=list(session.events) if session is not None else [],
     )
 

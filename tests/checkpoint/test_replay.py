@@ -44,6 +44,24 @@ class TestReconstruct:
         assert rebuilt.failures[0].injected
         assert rebuilt.policy == "replay"
 
+    def test_merge_sink_follows_all_producers_rule(self, tmp_path,
+                                                   merge_graph):
+        """A sink fed by two kernels is cancelled only when both die:
+        the rebuilt report must not cancel it when one survives."""
+        path = tmp_path / "merge.jsonl"
+        data = list(range(10))
+        result = run_graph(
+            merge_graph, data, data, [], backend="cgsim",
+            observe=str(path), on_error="isolate",
+            faults=KernelFault("doubler_kernel_0", at_resume=1),
+        )
+        live = result.failure
+        rebuilt = reconstruct_failure(read_jsonl(path), merge_graph)
+        assert live.cancelled == ()
+        assert rebuilt.cancelled == live.cancelled
+        assert rebuilt.sink_status == live.sink_status == {
+            "sink[0]": "partial"}
+
     def test_clean_trace_reconstructs_to_none(self, tmp_path):
         path = tmp_path / "ok.jsonl"
         result = run_graph(iir.IIR_GRAPH, _IIR_SRC, [], backend="cgsim",

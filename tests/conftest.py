@@ -130,6 +130,19 @@ def build_broadcast_graph():
     return g
 
 
+def build_merge_graph():
+    """Two producers merged into one output net: k(a,o); k(b,o); return o."""
+
+    @make_compute_graph(name="merge")
+    def g(a: IoC[int32], b: IoC[int32]):
+        o = IoConnector(int32, name="o")
+        doubler_kernel(a, o)
+        doubler_kernel(b, o)
+        return o
+
+    return g
+
+
 def build_rtp_graph():
     @make_compute_graph(name="rtp_graph")
     def g(x: IoC[float32], k: IoC[int32]):
@@ -177,6 +190,11 @@ def fig4_graph():
 @pytest.fixture
 def broadcast_graph():
     return build_broadcast_graph()
+
+
+@pytest.fixture
+def merge_graph():
+    return build_merge_graph()
 
 
 @pytest.fixture

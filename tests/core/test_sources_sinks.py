@@ -3,13 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.core import Window, float32, int16
+from repro.core import (
+    AIE,
+    In,
+    IoC,
+    IoConnector,
+    Out,
+    PortSettings,
+    Window,
+    compute_kernel,
+    float32,
+    int16,
+    int32,
+    make_compute_graph,
+)
 from repro.core.sources_sinks import (
     ArraySinkCursor,
     RuntimeParam,
     iter_stream_values,
 )
 from repro.errors import IoBindingError, StreamTypeError
+from repro.exec import get_backend
 
 WIN4 = Window(float32, 4)
 
@@ -85,3 +99,59 @@ class TestRuntimeParam:
         p.value = 9
         assert p.value == 9
         assert "9" in repr(p)
+
+
+# ---------------------------------------------------------------------------
+# Sink binding: one rule, one error, on every backend
+# ---------------------------------------------------------------------------
+
+
+@compute_kernel(realm=AIE)
+async def rtp_peak_kernel(x: In[int32], y: Out[int32],
+                          peak: Out[int32, PortSettings(
+                              runtime_parameter=True)]):
+    """Pass the stream through; latch the latest element as an RTP."""
+    while True:
+        v = await x.get()
+        await peak.put(v)
+        await y.put(v)
+
+
+def _rtp_out_graph():
+    @make_compute_graph(name="rtp_out")
+    def g(x: IoC[int32]):
+        y = IoConnector(int32, name="y")
+        peak = IoConnector(int32, name="peak")
+        rtp_peak_kernel(x, y, peak)
+        return y, peak
+
+    return g
+
+
+SINK_BACKENDS = [
+    pytest.param("cgsim", {}, id="cgsim"),
+    pytest.param("cgsim", {"optimize": "full"}, id="cgsim-full"),
+    pytest.param("x86sim", {}, id="x86sim"),
+    pytest.param("cgsim-mp", {}, id="cgsim-mp"),
+]
+
+
+class TestSinkBindingErrors:
+    """Every backend rejects a bad sink at ``prepare`` — before any
+    thread starts or worker forks — with the shared binder's message."""
+
+    @pytest.mark.parametrize("backend,options", SINK_BACKENDS)
+    @pytest.mark.parametrize("case", ["unsupported", "rtp"])
+    def test_same_error_at_prepare(self, fig4_graph, backend, options,
+                                   case):
+        if case == "unsupported":
+            graph, io = fig4_graph, ([1, 2, 3], ())
+            message = ("unsupported sink container tuple; pass a list or "
+                       "a pre-allocated numpy array")
+        else:
+            graph, io = _rtp_out_graph(), ([1, 2, 3], [], [])
+            message = ("output 'peak' is a runtime parameter; pass a "
+                       "RuntimeParam sink")
+        with pytest.raises(IoBindingError) as exc:
+            get_backend(backend).prepare(graph, io, **options)
+        assert str(exc.value) == message

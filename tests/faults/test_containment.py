@@ -87,6 +87,51 @@ class TestIsolateBroadcast:
         assert o2 == [4 * x for x in DATA]
 
 
+class TestIsolateMerge:
+    @pytest.mark.parametrize("backend", CONTAINED)
+    def test_sink_cancelled_only_when_every_producer_dies(
+            self, merge_graph, backend):
+        """merge: k0(a) and k1(b) both write sink[0].  Killing k0 leaves
+        k1 feeding the sink: partial, but not cancelled."""
+        out = []
+        result = run_graph(
+            merge_graph, DATA, DATA, out, backend=backend,
+            on_error="isolate",
+            faults=KernelFault("doubler_kernel_0", at_resume=1),
+            **_opts(backend))
+        report = result.failure
+        assert report.failing_task == "doubler_kernel_0"
+        assert report.cancelled == ()
+        assert report.sink_status == {"sink[0]": "partial"}
+        assert sorted(out) == [2 * x for x in DATA]
+
+
+def _failing_source(n):
+    yield from DATA[:n]
+    raise ValueError("source boom")
+
+
+class TestSourceFailure:
+    @pytest.mark.parametrize("backend", CONTAINED)
+    @pytest.mark.parametrize("policy", ["isolate", "poison"])
+    def test_failed_source_takes_out_its_readers(self, fig4_graph,
+                                                  backend, policy):
+        """A source that raises mid-stream: every task behind it is
+        cancelled (isolate) or poisoned (poison), and the sink it feeds
+        through them is partial — on both engines alike."""
+        result = run_graph(
+            fig4_graph, _failing_source(5), [], backend=backend,
+            on_error=policy, **_opts(backend))
+        report = result.failure
+        assert report.failing_task == "source[0]"
+        behind = ("doubler_kernel_0", "doubler_kernel_1", "sink[0]")
+        if policy == "isolate":
+            assert (report.cancelled, report.poisoned) == (behind, ())
+        else:
+            assert (report.cancelled, report.poisoned) == ((), behind)
+        assert report.sink_status == {"sink[0]": "partial"}
+
+
 class TestPoison:
     @pytest.mark.parametrize("backend", CONTAINED)
     def test_poison_propagates_to_dependents(self, fig4_graph, backend):
