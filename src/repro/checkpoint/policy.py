@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import CheckpointError
 
@@ -63,6 +63,10 @@ class CheckpointPolicy:
     #: Stamped by run_graph so file names embed the run id.
     run_id: str = ""
     trigger: Optional[CheckpointTrigger] = field(default=None, repr=False)
+    #: The run's JSON-safe options, stamped when they are bound
+    #: (``RunSpec.to_json``); recorded in every checkpoint.
+    options: Dict[str, Any] = field(default_factory=dict, init=False,
+                                    repr=False)
 
     def __post_init__(self) -> None:
         if not self.dir:

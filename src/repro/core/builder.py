@@ -376,26 +376,12 @@ class CompiledGraph:
         return self._graph_cache
 
     def __call__(self, *io, **run_options):
-        """Instantiate and run the graph with the given sources/sinks."""
-        from .runtime import RuntimeContext
+        """Instantiate and run the graph with the given sources/sinks
+        on the cgsim runtime (options as ``run_graph(backend="cgsim")``
+        takes them); returns the :class:`~repro.core.runtime.RunReport`."""
+        from ..exec.backends import call_graph
 
-        plan = None
-        level = run_options.pop("optimize", None)
-        if level is not None and level != "none":
-            from ..exec.plan_cache import get_plan
-
-            plan = get_plan(self, self.graph, level)
-            if level == "full":
-                run_options.setdefault("batch_io", 64)
-        rt = RuntimeContext(self.graph, optimize_plan=plan, **{
-            k: v for k, v in run_options.items()
-            if k in RuntimeContext.CONSTRUCT_OPTIONS
-        })
-        rt.bind_io(*io)
-        return rt.run(**{
-            k: v for k, v in run_options.items()
-            if k not in RuntimeContext.CONSTRUCT_OPTIONS
-        })
+        return call_graph(self, io, run_options)
 
     def __repr__(self):
         return f"<CompiledGraph {self.name!r}>"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -32,7 +33,6 @@ from ..errors import (
     IoBindingError,
 )
 from ..faults.cone import cancelled_sinks, dependent_cone, failure_report
-from ..faults.plan import FaultPlan
 from ..faults.report import FailureReport, TaskFailure, TeardownError
 from ..faults.waitfor import analyze_waiters
 from .fused import (
@@ -169,12 +169,6 @@ class RuntimeContext:
         passes without progress.  ``None`` (the default) runs nothing.
     """
 
-    #: Keyword arguments that CompiledGraph.__call__ routes to the
-    #: constructor rather than to run().
-    CONSTRUCT_OPTIONS = frozenset({"capacity", "validate", "batch_io",
-                                   "observe", "faults", "on_error",
-                                   "transport", "watchdog", "checkpoint"})
-
     def __init__(self, graph: ComputeGraph,
                  capacity: int = DEFAULT_QUEUE_CAPACITY,
                  validate: bool = False,
@@ -189,59 +183,35 @@ class RuntimeContext:
         self.graph = graph
         self.validate = validate
         self.batch_io = batch_io
+        from ..exec.spec import check_option
+
+        # The run-option table's coercers (repro.exec.spec); values the
+        # exec backends already bound coerce to themselves.
+        bound = partial(check_option, "cgsim")
+
         # Stream-net carrier selection (repro.core.transport).  None is
         # the plain in-process ring with no registry hop — the default
         # path stays byte-identical to the pre-transport-layer runtime.
-        self._transport = None
-        if transport is not None:
-            from .transport import TransportInfo, get_transport
-            info = transport if isinstance(transport, TransportInfo) \
-                else get_transport(transport)
-            if not info.scheduler_aware:
-                raise GraphRuntimeError(
-                    f"transport {info.name!r} is not scheduler-aware; the "
-                    f"cooperative runtime needs a transport that wakes "
-                    f"scheduler waiter lists (e.g. 'ring')"
-                )
-            self._transport = info
-        if on_error not in ("fail", "isolate", "poison"):
-            raise GraphRuntimeError(
-                f"on_error={on_error!r}; expected 'fail', 'isolate', or "
-                f"'poison'"
-            )
-        self.on_error = on_error
-        fault_plan = FaultPlan.coerce(faults)
+        self._transport = bound("transport", transport) \
+            if transport is not None else None
+        self.on_error = bound("on_error", on_error)
+        fault_plan = bound("faults", faults)
         self.fault_session = fault_plan.session(graph) \
             if fault_plan is not None else None
-        if observe is not None and observe is not False:
-            from ..observe import make_tracer
-
-            self.tracer = make_tracer(observe)
-            #: Whether this context created the tracer (and must flush
-            #: its sink at the end of run()) vs. borrowed a caller-owned
-            #: one that the caller will close.
-            self._owns_tracer = self.tracer is not observe
-        else:
-            self.tracer = None
-            self._owns_tracer = False
+        self.tracer = bound("observe", observe)
+        #: Whether this context closes the tracer at the end of run() (it
+        #: built it, or the exec backend handed it over) vs. borrowed a
+        #: caller-owned one that the caller will close.
+        self.owns_tracer = self.tracer is not None \
+            and self.tracer is not observe
         #: Label stamped into run.begin/run.end trace events.  The exec
         #: backends overwrite it (pysim runs on this same runtime).
         self.backend_label = "cgsim"
-        if watchdog is not None and watchdog is not False:
-            from ..observe.health import coerce_watchdog
-
-            self.watchdog = coerce_watchdog(watchdog)
-        else:
-            self.watchdog = None
+        self.watchdog = bound("watchdog", watchdog)
         # Checkpoint capture (repro.checkpoint): coerced here so a bad
         # spec fails at construction; the capture session itself is
         # built per run() (it needs the scheduler and tracer).
-        if checkpoint is not None:
-            from ..checkpoint.policy import coerce_checkpoint
-
-            self.checkpoint_policy = coerce_checkpoint(checkpoint)
-        else:
-            self.checkpoint_policy = None
+        self.checkpoint_policy = bound("checkpoint", checkpoint)
         self.checkpoint_session = None
         self.optimize_plan = optimize_plan
         self.queues: Dict[int, BroadcastQueue] = {}
@@ -645,6 +615,7 @@ class RuntimeContext:
                 items_fn=self._count_items_out,
                 backend=self.backend_label,
                 run_id=ckpt_policy.run_id,
+                options=ckpt_policy.options,
                 tracer=tracer,
             )
             self.checkpoint_session = ckpt_session
@@ -719,7 +690,7 @@ class RuntimeContext:
                 # the run.end marker closes the trace and owned sinks
                 # are flushed to disk before the exception propagates.
                 tracer.run_end(self.graph.name, self.backend_label)
-                if self._owns_tracer:
+                if self.owns_tracer:
                     tracer.close()
             if sched.teardown_errors:
                 # A kernel intercepting GeneratorExit during teardown

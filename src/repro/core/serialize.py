@@ -212,19 +212,13 @@ class SerializedGraph:
         """Run the graph directly from its serialized form.
 
         Matches the C++ API where the serialized graph object's function
-        call operator instantiates and executes the graph (§3.6).
+        call operator instantiates and executes the graph (§3.6); the
+        options are the compiled graph's call operator's, ``optimize``
+        included.
         """
-        from .runtime import RuntimeContext
+        from ..exec.backends import call_graph
 
-        rt = RuntimeContext(self.deserialize(), **{
-            k: v for k, v in run_options.items()
-            if k in RuntimeContext.CONSTRUCT_OPTIONS
-        })
-        rt.bind_io(*io)
-        return rt.run(**{
-            k: v for k, v in run_options.items()
-            if k not in RuntimeContext.CONSTRUCT_OPTIONS
-        })
+        return call_graph(self, io, run_options)
 
 
 def flatten_graph(graph: ComputeGraph) -> SerializedGraph:

@@ -14,10 +14,8 @@ through one entry point::
         "cgsim", "cgsim-mp", "pysim", "x86sim",
     ]
 
-The cgsim backend additionally accepts ``optimize="none"/"fuse"/"full"``
-— the plan-optimization pipeline (chain fusion with queue elision,
-fused-equivalent kernel substitution, rate-matched bulk I/O) documented
-in ``docs/EXEC_BACKENDS.md``.
+Which run options each backend honours, ignores or rejects is one
+table, :mod:`repro.exec.spec` (``python -m repro.exec list-backends``).
 
 See ``docs/EXEC_BACKENDS.md`` for the protocol contract and how to plug
 in new engines.

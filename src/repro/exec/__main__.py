@@ -4,57 +4,28 @@
 
     python -m repro.exec list-backends
 
-prints every registered :class:`~repro.exec.api.ExecutionBackend` with a
-one-line capability summary — which cross-cutting run options (batched
-port I/O, plan optimization, fault injection/containment, observe
-tracing) each engine honours, and how it executes the graph.
+prints every registered :class:`~repro.exec.api.ExecutionBackend` with
+its execution model, then the run-option table (:mod:`repro.exec.spec`).
+A registered backend without a column there fails with ``KeyError``.
 """
 
 from __future__ import annotations
 
 import sys
 
-#: name -> (execution model, capability notes).  The capability column
-#: names the cross-cutting options the backend honours; engines that
-#: merely *accept* an option for interface parity say so.
-_CAPABILITIES = {
-    "cgsim": (
-        "cooperative single-process scheduler",
-        "batch_io, optimize (fuse/full), faults+on_error, observe",
-    ),
-    "cgsim-mp": (
-        "sharded multi-process scheduler farm",
-        "workers, batch_io, on_error (worker-loss containment), "
-        "observe (merged per-worker traces); no fault plans, "
-        "optimize ignored",
-    ),
-    "pysim": (
-        "serialization round trip -> cooperative scheduler",
-        "batch_io, faults+on_error, observe; optimize ignored "
-        "(the unoptimized round trip is the point)",
-    ),
-    "x86sim": (
-        "preemptive thread per kernel",
-        "faults+on_error, observe, timeout; no batch_io, "
-        "optimize ignored",
-    ),
-}
-
 
 def list_backends(file=sys.stdout) -> int:
-    from . import available_backends, get_backend
+    from . import available_backends
+    from .spec import MODELS, render_table
 
     names = available_backends()
     width = max(len(n) for n in names)
     print(f"{len(names)} registered execution backend(s):", file=file)
     for name in names:
-        backend = get_backend(name)
-        model, caps = _CAPABILITIES.get(
-            name, (type(backend).__name__, "(unregistered capabilities)")
-        )
-        print(f"  {name:<{width}}  {model}", file=file)
-        print(f"  {'':<{width}}    options: {caps}", file=file)
-    print("serve these backends over HTTP with `python -m repro.serve` "
+        print(f"  {name:<{width}}  {MODELS[name]}", file=file)
+    print("\nrun options:", file=file)
+    print(render_table(names), file=file)
+    print("\nserve these backends over HTTP with `python -m repro.serve` "
           "(graph-as-a-service run server; cgsim-mp excluded — forking "
           "from a threaded server is unsafe).  See docs/SERVE.md.",
           file=file)

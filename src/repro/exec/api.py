@@ -14,25 +14,13 @@ glue::
     result = run_graph(graph, data, out, backend="x86sim")
     assert result.completed
 
-Registered backends (see :mod:`repro.exec.backends`):
-
-``"cgsim"``
-    The cooperative single-thread runtime (paper §3.6–3.8).  Options:
-    ``capacity``, ``validate``, ``batch_io``, ``observe``,
-    ``max_steps``, ``strict``.
-``"x86sim"``
-    The thread-per-kernel functional simulator (§5.2).  Options:
-    ``capacity``, ``timeout``, ``observe``.
-
-Every backend accepts the cross-cutting ``observe=`` / ``trace=``
-option of :func:`run_graph` and emits one shared event schema
-(:mod:`repro.observe`), so traces from different engines are directly
-comparable.
-``"pysim"``
-    The extractor's executable backend: the graph goes through the
-    serialize → JSON → deserialize round trip the generated
-    ``graph_<name>.py`` modules embed, then runs on the cgsim runtime —
-    the extract→generate→execute guarantee as a first-class engine.
+Registered backends (see :mod:`repro.exec.backends`): ``"cgsim"`` (the
+cooperative single-thread runtime, paper §3.6–3.8), ``"pysim"`` (the
+extractor's serialize → JSON → deserialize round trip on that runtime),
+``"x86sim"`` (thread per kernel, §5.2) and ``"cgsim-mp"`` (sharded
+multi-process).  Which run options each honours, ignores or rejects is
+one table, :mod:`repro.exec.spec`; ``python -m repro.exec
+list-backends`` prints it.
 
 New engines (sharded, multi-process, remote) plug in via
 :func:`register_backend` without forking any call site.
@@ -49,6 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..errors import GraphRuntimeError
+from .spec import RunSpec, bind_options
+from .spec import coerce_retry as _coerce_retry  # noqa: F401 - re-export
 
 __all__ = [
     "RunResult",
@@ -260,7 +250,7 @@ class ExecutionPlan:
     graph: Any                  # the resolved ComputeGraph
     io: Tuple[Any, ...]         # positional sources + sinks as passed
     state: Any = None
-    options: Dict[str, Any] = field(default_factory=dict)
+    spec: Optional[RunSpec] = None   # the bound run options
     _consumed: bool = False
 
 
@@ -272,19 +262,27 @@ class ExecutionPlan:
 class ExecutionBackend(abc.ABC):
     """One execution engine behind the unified entry point.
 
-    Subclasses set :attr:`name` and implement the two-phase protocol;
-    instances are stateless (all per-run state lives in the plan).
+    Subclasses set :attr:`name`, have a column in the run-option table
+    (:mod:`repro.exec.spec`) and implement
+    :meth:`prepare_spec` and :meth:`run`; instances are stateless.
     """
 
     #: Registry key; class attribute set by each backend.
     name: str = ""
 
-    @abc.abstractmethod
     def prepare(self, graph: Any, io: Tuple[Any, ...],
                 **options: Any) -> ExecutionPlan:
         """Instantiate *graph* and bind the positional I/O containers
-        (sources first, then sinks, §3.7).  Raises the same binding
-        errors as the underlying engine."""
+        (sources first, then sinks, §3.7); the options are bound through
+        the run-option table first, before any engine state exists."""
+        return self.prepare_spec(
+            graph, io, bind_options(self.name, options, engine=True))
+
+    @abc.abstractmethod
+    def prepare_spec(self, graph: Any, io: Tuple[Any, ...],
+                     spec: RunSpec) -> ExecutionPlan:
+        """:meth:`prepare` with the options already bound (what
+        :func:`run_graph` calls); reads every option from *spec*."""
 
     @abc.abstractmethod
     def run(self, plan: ExecutionPlan, *, profile: bool = False) -> RunResult:
@@ -407,43 +405,6 @@ def clear_resolve_cache() -> None:
         _RESOLVE_CACHE.clear()
 
 
-def _coerce_retry(retry: Any):
-    """``retry=`` accepts a RetryPolicy, an int attempt count, or None.
-
-    ``attempts == 1`` normalises to ``None`` (a single try needs no
-    retry machinery); zero or negative counts raise ``ValueError`` —
-    they used to silently disable retrying, which hid typos like
-    ``retry=0`` behind a run that never retried.
-    """
-    from ..faults.report import RetryPolicy
-
-    if retry is None:
-        return None
-    if isinstance(retry, RetryPolicy):
-        # RetryPolicy validates attempts >= 1 at construction, so the
-        # only normalisation left is the no-op single-attempt policy
-        # (unless it asks for resume semantics, which run_graph reads
-        # off the policy even for attempts=1... there is nothing to
-        # resume on a first and only try, so None stays correct).
-        return retry if retry.attempts > 1 else None
-    if isinstance(retry, bool):
-        raise GraphRuntimeError(
-            "retry= takes a RetryPolicy or an attempt count, not a bool"
-        )
-    if isinstance(retry, int):
-        if retry < 1:
-            raise ValueError(
-                f"retry attempt count must be >= 1 (the first try "
-                f"counts), got {retry}; pass retry=None to disable "
-                f"retrying"
-            )
-        return RetryPolicy(attempts=retry) if retry > 1 else None
-    raise GraphRuntimeError(
-        f"cannot interpret retry={retry!r}; pass a "
-        f"repro.faults.RetryPolicy or an int attempt count"
-    )
-
-
 def _check_replayable(sources) -> None:
     """Retrying re-binds the original inputs; a bare iterator was
     consumed by the first attempt and would silently replay empty."""
@@ -500,18 +461,17 @@ def run_graph(graph: Any, *io: Any, backend: str = "cgsim",
     benchmarks, examples, and the differential harness go through.
 
     Positional ``io`` follows §3.7: data sources for every global input
-    (in order), then sink containers for every global output.  Keyword
-    ``options`` are backend-specific (see :mod:`repro.exec.backends`).
+    (in order), then sink containers for every global output.  Every
+    option, keyword parameters included, is validated once against the
+    run-option table (:mod:`repro.exec.spec`) into one frozen
+    :class:`~repro.exec.spec.RunSpec` before the backend prepares
+    anything: an option the backend rejects raises here.
 
-    ``observe`` (alias ``trace``) enables structured event tracing with
-    the same schema on every backend: ``True`` for an in-memory ring, an
-    int ring size, a ``.jsonl``/``.json`` file path, a
-    :class:`~repro.observe.sinks.TraceSink`, or a ready
-    :class:`~repro.observe.events.Tracer`.  The result then carries
-    ``metrics`` (the :class:`~repro.observe.metrics.TraceMetrics`
-    reduction) and ``trace`` (the tracer; ``result.trace.events`` holds
-    retained events).  File-backed sinks are flushed/written before
-    :func:`run_graph` returns unless the caller passed its own Tracer.
+    ``observe`` (alias ``trace``; any form
+    :func:`repro.observe.make_tracer` takes) traces the run with the same
+    event schema on every backend; the result then carries ``metrics``
+    and ``trace`` (the tracer).  A tracer built here is closed before
+    :func:`run_graph` returns; a caller's own Tracer is not.
 
     ``retry`` (a :class:`repro.faults.RetryPolicy` or an int attempt
     count) re-runs transiently-failed executions from the original
@@ -521,10 +481,9 @@ def run_graph(graph: Any, *io: Any, backend: str = "cgsim",
     carries one :class:`~repro.faults.AttemptRecord` per try; the last
     try's exception is re-raised if every attempt raised.
 
-    ``profile`` accepts ``True`` (per-kernel timing, cgsim family),
-    ``"sample"`` or a ``{"mode": "sample", "interval": s, "out": dir}``
-    dict (timing plus the :mod:`repro.observe.profile` stack sampler),
-    or a ready :class:`~repro.observe.profile.SamplingProfiler`.
+    ``profile`` takes the forms
+    :func:`repro.observe.profile.coerce_profile` documents: ``True``
+    for per-kernel timing, or a stack-sampler request.
 
     ``run_id`` is the cross-layer correlation id: minted here when not
     supplied, stamped on every trace event (schema 2), any contained
@@ -547,58 +506,29 @@ def run_graph(graph: Any, *io: Any, backend: str = "cgsim",
     ``RetryPolicy(resume=True)`` links the two: each retry restarts
     from the failed attempt's last checkpoint instead of from zero.
     """
-    if observe is not None and trace is not None:
-        raise GraphRuntimeError(
-            "pass either observe= or trace= (they are aliases), not both"
-        )
-    sampler = None
-    if profile is not None and not isinstance(profile, bool):
-        from ..observe.profile import coerce_profile
-
-        profile, sampler = coerce_profile(profile)
-    profile = bool(profile)
-    rid = str(run_id) if run_id else "r-" + uuid.uuid4().hex[:12]
-    spec = observe if observe is not None else trace
-    tracer = None
-    owned = False
-    if spec is not None and spec is not False:
-        from ..observe import Tracer, make_tracer
-
-        owned = not isinstance(spec, Tracer)
-        tracer = make_tracer(spec)
-    policy = _coerce_retry(retry)
     b = get_backend(backend)
+    spec = bind_options(backend, dict(  # profile=False is "not set"
+        options, profile=profile or None, observe=observe, trace=trace,
+        retry=retry, run_id=run_id, checkpoint=checkpoint))
+    rid = spec.run_id or "r-" + uuid.uuid4().hex[:12]
+    tracer, owned = spec.observe, spec.owns_tracer
     if tracer is not None:
         # A caller-owned tracer with a pinned run_id wins over the mint.
         tracer.set_context(run_id=rid, labels=labels)
         rid = tracer.run_id or rid
-        options["observe"] = tracer
-    if sampler is not None:
-        options["profiler"] = sampler
-    if backend == "cgsim-mp":
-        # The sharded manager forwards the id to forked workers so
-        # their per-process tracers stamp the same correlation id.
-        options.setdefault("run_id", rid)
-
-    ckpt_policy = None
-    if checkpoint is not None:
-        from ..checkpoint import coerce_checkpoint
-
-        ckpt_policy = coerce_checkpoint(checkpoint)
-        if ckpt_policy is not None:
-            if not ckpt_policy.run_id:
-                ckpt_policy.run_id = rid
-            options["checkpoint"] = ckpt_policy
+    ckpt_policy = spec.checkpoint
+    if ckpt_policy is not None and not ckpt_policy.run_id:
+        ckpt_policy.run_id = rid
+    # Engines only borrow the tracer: run_graph closes one it built.
+    spec = spec.replace(run_id=rid, owns_tracer=False)
+    policy = spec.retry
+    sampler = spec.profiler
     rs = None
     if resume_from is not None:
         from ..checkpoint.resume import ResumeState
 
         rs = ResumeState.load(resume_from)
     resume_retries = policy is not None and getattr(policy, "resume", False)
-    # RetryPolicy.resume is also honoured when _coerce_retry normalised
-    # a single-attempt policy away — there is nothing to resume then,
-    # but a resume=True policy with no checkpoint source is always a
-    # caller mistake worth naming.
     if resume_retries and ckpt_policy is None and rs is None:
         raise GraphRuntimeError(
             "RetryPolicy(resume=True) needs a checkpoint to resume from: "
@@ -630,20 +560,20 @@ def run_graph(graph: Any, *io: Any, backend: str = "cgsim",
                 for sink in sinks:
                     if isinstance(sink, list):
                         del sink[:]
-            attempt_io = io
-            opts = dict(options)
+            attempt_io, attempt_spec = io, spec
             scratch = None
             if rs is not None:
                 # Resume executes into scratch containers so the
                 # caller's sinks stay untouched until the re-run is
                 # digest-verified against the checkpoint prefix.
                 scratch = rs.make_scratch(tuple(io[n_inputs:]))
-                if opts.get("faults") is not None:
-                    opts["faults"] = rs.filter_faults(opts["faults"])
+                if spec.faults is not None:
+                    attempt_spec = spec.replace(
+                        faults=rs.filter_faults(spec.faults))
                 attempt_io = tuple(io[:n_inputs]) + tuple(scratch)
             try:
-                plan = b.prepare(graph, attempt_io, **opts)
-                result = b.run(plan, profile=profile)
+                plan = b.prepare_spec(graph, attempt_io, attempt_spec)
+                result = b.run(plan, profile=bool(spec.profile))
             except Exception as exc:
                 if policy is None or last:
                     raise

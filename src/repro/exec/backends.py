@@ -17,8 +17,9 @@ from .api import (
     register_backend,
     resolve_graph,
 )
+from .spec import RunSpec
 
-__all__ = ["CgsimBackend", "X86simBackend", "PysimBackend"]
+__all__ = ["CgsimBackend", "X86simBackend", "PysimBackend", "call_graph"]
 
 
 def _split_io(graph, io: Tuple[Any, ...]):
@@ -26,74 +27,59 @@ def _split_io(graph, io: Tuple[Any, ...]):
     return list(io[len(graph.inputs):])
 
 
+def call_graph(graph: Any, io: Tuple[Any, ...],
+               options: Dict[str, Any]):
+    """The graph call operators (§3.6): one cgsim run of *graph*, its
+    options bound exactly as :meth:`CgsimBackend.prepare` binds them.
+    Returns the engine's :class:`~repro.core.runtime.RunReport`."""
+    backend = CgsimBackend()
+    return backend.run(backend.prepare(graph, io, **options)).raw
+
+
 @register_backend
 class CgsimBackend(ExecutionBackend):
-    """Cooperative single-thread runtime (§3.6–3.8).
-
-    Options: ``capacity`` (queue depth default), ``validate``
-    (per-element stream type checks), ``batch_io`` (bulk ring I/O for
-    global sources/sinks), ``observe`` (structured event tracing, see
-    :mod:`repro.observe`), ``optimize`` (plan optimization level:
-    ``"none"``/``"fuse"``/``"full"``, see :mod:`repro.exec.optimize`),
-    ``faults`` (deterministic fault injection) and ``on_error``
-    (failure containment policy, see :mod:`repro.faults`),
-    ``max_steps`` (livelock guard), ``strict`` (raise
-    :class:`DeadlockError` on stalls), ``watchdog`` (no-progress window
-    in seconds or a :class:`~repro.observe.health.ProgressWatchdog`),
-    ``profiler`` (a :class:`~repro.observe.profile.SamplingProfiler`,
-    normally injected by ``run_graph(profile="sample")``),
-    ``checkpoint`` (run-state capture policy — a directory path, dict,
-    or :class:`~repro.checkpoint.CheckpointPolicy`; see
-    :mod:`repro.checkpoint`).
-    """
+    """Cooperative single-thread runtime (§3.6–3.8); its run options are
+    the ``cgsim`` column of :mod:`repro.exec.spec`."""
 
     name = "cgsim"
-
-    #: Whether this backend honours the ``optimize`` option.  Subclasses
-    #: that exist to exercise the *unoptimized* path (pysim's round-trip
-    #: proof) accept the option but run the plain runtime.
-    supports_optimize = True
 
     def _instantiate(self, graph):
         """Graph carrier → deserialized IR; pysim overrides this to
         force the generated-module serialization round trip."""
         return resolve_graph(graph)
 
-    def prepare(self, graph: Any, io: Tuple[Any, ...],
-                **options: Any) -> ExecutionPlan:
+    def prepare_spec(self, graph: Any, io: Tuple[Any, ...],
+                     spec: RunSpec) -> ExecutionPlan:
         from ..core.runtime import RuntimeContext
-        from .optimize import OPTIMIZE_LEVELS
         from .plan_cache import get_plan
 
-        level = options.pop("optimize", None) or "none"
-        if level not in OPTIMIZE_LEVELS:
-            from ..errors import GraphRuntimeError
-            raise GraphRuntimeError(
-                f"unknown optimize level {level!r}; expected one of "
-                f"{OPTIMIZE_LEVELS}"
-            )
         g = self._instantiate(graph)
-        construct = {k: v for k, v in options.items()
-                     if k in RuntimeContext.CONSTRUCT_OPTIONS}
-        run_opts = {k: v for k, v in options.items()
-                    if k not in RuntimeContext.CONSTRUCT_OPTIONS}
-        plan = None
-        if level != "none" and self.supports_optimize:
-            plan = get_plan(graph, g, level)
-            if level == "full":
-                # Rate-matched bulk I/O for whatever stayed unfused.
-                construct.setdefault("batch_io", 64)
-        rt = RuntimeContext(g, optimize_plan=plan, **construct)
+        level = spec.optimize or "none"   # None where optimize is ignored
+        batch_io = spec.batch_io
+        if level == "full" and batch_io is None:
+            batch_io = 64   # rate-matched bulk I/O for what stayed unfused
+        rt = RuntimeContext(
+            g, capacity=spec.capacity, validate=spec.validate,
+            batch_io=batch_io, observe=spec.observe,
+            optimize_plan=get_plan(graph, g, level)
+            if level != "none" else None,
+            faults=spec.faults, on_error=spec.on_error,
+            transport=spec.transport, watchdog=spec.watchdog,
+            checkpoint=spec.checkpoint)
+        rt.owns_tracer = spec.owns_tracer
         rt.backend_label = self.name
         if io or g.inputs or g.outputs:
             rt.bind_io(*io)
         return ExecutionPlan(backend=self.name, graph=g, io=io,
-                             state=rt, options=run_opts)
+                             state=rt, spec=spec)
 
     def run(self, plan: ExecutionPlan, *, profile: bool = False) -> RunResult:
         self._claim(plan)
-        rt = plan.state
-        report = rt.run(profile=profile, **plan.options)
+        spec = plan.spec
+        report = plan.state.run(
+            profile=profile or bool(spec.profile),
+            max_steps=spec.max_steps, strict=spec.strict,
+            profiler=spec.profiler)
         stats = report.stats
         return RunResult(
             backend=self.name,
@@ -130,9 +116,6 @@ class PysimBackend(CgsimBackend):
     """
 
     name = "pysim"
-    # The round trip *is* the point; fusing would bypass the serialized
-    # wiring being proved.  ``optimize`` is accepted and ignored.
-    supports_optimize = False
 
     def _instantiate(self, graph):
         from ..core.builder import CompiledGraph
@@ -149,69 +132,23 @@ class PysimBackend(CgsimBackend):
 
 @register_backend
 class X86simBackend(ExecutionBackend):
-    """Thread-per-kernel functional simulator (§5.2).
-
-    Options: ``capacity`` (channel depth), ``timeout`` (per-wait stall
-    bound in seconds), ``observe`` (structured event tracing, see
-    :mod:`repro.observe`), ``faults`` / ``on_error`` (fault injection
-    and containment, see :mod:`repro.faults`), ``strict`` (raise
-    :class:`~repro.errors.SimDeadlockError` on stalls; default True).
-    ``profile`` is accepted for interface parity but preemptive threads
-    have no per-kernel time split to report.
-    """
+    """Thread-per-kernel functional simulator (§5.2); its run options are
+    the ``x86sim`` column of :mod:`repro.exec.spec`."""
 
     name = "x86sim"
 
-    def prepare(self, graph: Any, io: Tuple[Any, ...],
-                **options: Any) -> ExecutionPlan:
-        from ..core.queues import DEFAULT_QUEUE_CAPACITY
+    def prepare_spec(self, graph: Any, io: Tuple[Any, ...],
+                     spec: RunSpec) -> ExecutionPlan:
         from ..x86sim.runner import prepare_threads
 
         g = resolve_graph(graph)
-        capacity = options.pop("capacity", DEFAULT_QUEUE_CAPACITY)
-        timeout = options.pop("timeout", 60.0)
-        observe = options.pop("observe", None)
-        faults = options.pop("faults", None)
-        on_error = options.pop("on_error", "fail")
-        strict = options.pop("strict", True)
-        # Plan optimization is a cgsim-runtime concept; threads have no
-        # scheduler hops to elide.  Accepted for cross-backend parity.
-        options.pop("optimize", None)
-        # The per-wait ``timeout`` already bounds thread stalls, so the
-        # cooperative watchdog is accepted-and-ignored for parity (the
-        # serve layer applies one default watchdog to every backend).
-        options.pop("watchdog", None)
-        if options.pop("profiler", None) is not None:
-            from ..errors import GraphRuntimeError
-            raise GraphRuntimeError(
-                "profile='sample' needs a cooperative backend "
-                "(cgsim/pysim/cgsim-mp); x86sim's preemptive threads "
-                "have no single scheduler stack to sample"
-            )
-        if options.pop("checkpoint", None) is not None:
-            from ..errors import CheckpointError
-            raise CheckpointError(
-                "checkpoint= capture needs a cooperative backend "
-                "(cgsim/pysim/cgsim-mp): x86sim's preemptive threads "
-                "interleave freely, so there is no quiescent point to "
-                "snapshot at; resume_from= still works on x86sim — "
-                "resume is a deterministic re-execution at the exec "
-                "layer, not an engine feature"
-            )
-        if options:
-            from ..errors import GraphRuntimeError
-            raise GraphRuntimeError(
-                f"x86sim backend got unknown options: {sorted(options)}"
-            )
-        tracer = None
-        if observe is not None and observe is not False:
-            from ..observe import make_tracer
-
-            tracer = make_tracer(observe)
-        state = prepare_threads(g, io, capacity=capacity, timeout=timeout,
-                                observe=tracer, faults=faults,
-                                on_error=on_error, strict=strict)
-        return ExecutionPlan(backend=self.name, graph=g, io=io, state=state)
+        state = prepare_threads(g, io, capacity=spec.capacity,
+                                timeout=spec.timeout, observe=spec.observe,
+                                faults=spec.faults, on_error=spec.on_error,
+                                strict=spec.strict)
+        state.owns_tracer = spec.owns_tracer
+        return ExecutionPlan(backend=self.name, graph=g, io=io, state=state,
+                             spec=spec)
 
     def run(self, plan: ExecutionPlan, *, profile: bool = False) -> RunResult:
         from ..x86sim.runner import execute_plan

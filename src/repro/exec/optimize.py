@@ -109,13 +109,10 @@ def analyze_graph(graph: ComputeGraph, level: str) -> Optional[OptimizedPlan]:
     ``None`` means "run unfused" — either the level disables the pass or
     the graph offers no chain worth fusing.
     """
-    if level == "none":
+    from .spec import check_option
+
+    if check_option("cgsim", "optimize", level) == "none":
         return None
-    if level not in OPTIMIZE_LEVELS:
-        raise GraphRuntimeError(
-            f"unknown optimize level {level!r}; expected one of "
-            f"{', '.join(OPTIMIZE_LEVELS)}"
-        )
 
     input_counts: Dict[int, int] = {}
     for gio in graph.inputs:

@@ -204,6 +204,7 @@ def _capture_mp_checkpoint(graph, io, policy, reason: str, *,
         items_in=items_in,
         items_out=items_out,
         sinks=sinks,
+        options=policy.options,
         wall_ts=fresh_timestamp(),
     )
     path = _os.path.join(
@@ -340,10 +341,9 @@ def run_sharded(graph, io: Tuple[Any, ...], *,
     ``run_graph``'s retry-resume loop re-places the lost shard's work
     onto fresh processes and completes from the recorded prefix.
     """
-    if on_error not in ("fail", "isolate"):
-        raise GraphRuntimeError(
-            f"on_error={on_error!r}; cgsim-mp supports 'fail' or 'isolate'"
-        )
+    from ..exec.spec import check_option
+
+    on_error = check_option("cgsim-mp", "on_error", on_error)
     check_io(graph, io)
     placement = place_graph(graph, workers)
     n_workers = placement.n_workers
@@ -356,8 +356,7 @@ def run_sharded(graph, io: Tuple[Any, ...], *,
             tracer.set_context(run_id=run_id)  # fills only if unset
         labels = getattr(tracer, "labels", None)
 
-    from ..observe.health import coerce_watchdog
-    dog = coerce_watchdog(watchdog)
+    dog = check_option("cgsim-mp", "watchdog", watchdog)
 
     t0 = perf_counter()
     if tracer is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..exec.spec import OPTIONS
 from .metrics import ServiceMetrics
 from .quotas import QuotaManager
 from .registry import RunRecord, RunRegistry
@@ -96,9 +97,11 @@ class ServeConfig:
 class GraphService:
     """One multi-tenant run service (no sockets; see ``server.py``)."""
 
-    #: Backends whose cooperative scheduler supports in-run checkpoint
-    #: capture (x86sim rejects the ``checkpoint=`` option).
-    CHECKPOINTABLE_BACKENDS = ("cgsim", "pysim", "cgsim-mp")
+    #: Backends that honour the ``checkpoint=`` run option (the
+    #: run-option table, :mod:`repro.exec.spec`).
+    CHECKPOINTABLE_BACKENDS = tuple(sorted(
+        b for b, c in OPTIONS["checkpoint"].cells.items()
+        if c.action == "honoured"))
 
     def __init__(self, config: Optional[ServeConfig] = None):
         import os

@@ -6,16 +6,10 @@ A *submission* is one JSON object posted to ``POST /runs``::
       "graph": {...},              # SerializedGraph.to_json object, OR
       "app": "bitonic",            # a server-registered named graph
       "inputs": [...],             # one wire value per global input
-      "options": {                 # run options (allowlisted)
+      "options": {                 # RUN_OPTION_KEYS, e.g.
         "backend": "cgsim",
         "optimize": "fuse",
-        "capacity": 8,
-        "batch_io": 64,
-        "on_error": "isolate",
-        "retry": 2,                # or {"attempts": 2, "backoff": 0.1}
         "faults": [...],           # injection specs, see _parse_faults
-        "profile": "sample",       # or {"mode": "sample", "interval": s}
-        "watchdog": 5.0            # no-progress stall window, seconds
       },
       "trace": true,               # retain events; /runs/<id>/trace
       "return_outputs": true       # embed encoded sink values in result
@@ -44,6 +38,7 @@ import numpy as np
 
 from ..core.serialize import SerializedGraph
 from ..errors import CgsimError
+from ..exec.spec import OPTIONS, bind_options
 
 __all__ = [
     "WireError",
@@ -63,13 +58,10 @@ class WireError(CgsimError):
         self.status = status
 
 
-#: Run options a submission may set, with their validators.
-RUN_OPTION_KEYS = ("backend", "optimize", "capacity", "batch_io",
-                   "on_error", "retry", "faults", "max_steps", "timeout",
-                   "profile", "watchdog", "workers")
-
-_OPTIMIZE_LEVELS = ("none", "fuse", "full")
-_ON_ERROR = ("fail", "isolate", "poison")
+#: Run options a submission may set: the ``wire`` rows of the run-option
+#: table (:mod:`repro.exec.spec`), plus ``backend``.
+RUN_OPTION_KEYS = ("backend",) + tuple(
+    n for n, o in OPTIONS.items() if o.wire)
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +210,8 @@ def _parse_faults(specs: Any):
 def _parse_retry(spec: Any):
     from ..faults import RetryPolicy
 
-    if spec is None:
-        return None
-    if isinstance(spec, bool):
-        raise WireError("options.retry takes an int or an object, not a bool")
-    if isinstance(spec, int):
-        if spec < 1:
-            raise WireError("options.retry attempt count must be >= 1")
-        return spec
+    if spec is None or isinstance(spec, int):
+        return spec       # the run-option table checks the count
     if isinstance(spec, dict):
         unknown = set(spec) - {"attempts", "backoff", "resume"}
         if unknown:
@@ -245,6 +231,20 @@ def _parse_retry(spec: Any):
         "options.retry must be an int attempt count or "
         '{"attempts": n, "backoff": s, "resume": bool}'
     )
+
+
+def _parse_profile(prof: Any) -> Any:
+    """The wire's profile rules on top of the table's: the output
+    location is server policy (``config.profile_dir``), so no path
+    escapes over the wire, and the sampling interval is bounded."""
+    if isinstance(prof, dict):
+        if "out" in prof:
+            raise WireError("profile.out is server policy; allowed "
+                            "profile options: mode, interval")
+        iv = prof.get("interval", 0.001)
+        if isinstance(iv, (int, float)) and not 0.0001 <= iv <= 1.0:
+            raise WireError("profile.interval must be in [0.0001, 1.0] s")
+    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -363,82 +363,25 @@ def parse_submission(body: bytes, *, apps: Dict[str, Any],
             f"backend {backend!r} not served; allowed: "
             f"{list(allowed_backends)}", status=403,
         )
-    options: Dict[str, Any] = {}
-    level = opts_doc.get("optimize")
-    if level is not None:
-        if level not in _OPTIMIZE_LEVELS:
-            raise WireError(
-                f"optimize must be one of {_OPTIMIZE_LEVELS}, got {level!r}"
-            )
-        options["optimize"] = level
-    on_error = opts_doc.get("on_error", default_on_error)
-    if on_error not in _ON_ERROR:
-        raise WireError(
-            f"on_error must be one of {_ON_ERROR}, got {on_error!r}"
-        )
-    options["on_error"] = on_error
-    for key in ("capacity", "batch_io", "max_steps"):
-        if key in opts_doc:
-            value = opts_doc[key]
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise WireError(f"{key} must be a positive integer")
-            options[key] = value
-    if "workers" in opts_doc:
-        # Only meaningful for cgsim-mp; bounded so a tenant cannot ask
-        # the service to fork an arbitrary process count.
-        value = opts_doc["workers"]
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or not 1 <= value <= 16:
-            raise WireError("workers must be an integer in [1, 16]")
-        options["workers"] = value
-    if "timeout" in opts_doc:
-        try:
-            options["timeout"] = float(opts_doc["timeout"])
-        except (TypeError, ValueError):
-            raise WireError("timeout must be a number of seconds")
-    plan = _parse_faults(opts_doc.get("faults"))
-    if plan is not None:
-        options["faults"] = plan
-    if "profile" in opts_doc:
-        prof = opts_doc["profile"]
-        if isinstance(prof, dict):
-            # The output location is server policy (config.profile_dir),
-            # never tenant-controlled: no path escapes over the wire.
-            unknown_prof = set(prof) - {"mode", "interval"}
-            if unknown_prof:
-                raise WireError(
-                    f"unknown profile options: {sorted(unknown_prof)}; "
-                    f"allowed: mode, interval"
-                )
-            if prof.get("mode", "sample") not in ("sample", "sampling"):
-                raise WireError("profile.mode must be 'sample'")
-            if "interval" in prof:
-                try:
-                    iv = float(prof["interval"])
-                except (TypeError, ValueError):
-                    raise WireError("profile.interval must be seconds")
-                if not 0.0001 <= iv <= 1.0:
-                    raise WireError(
-                        "profile.interval must be in [0.0001, 1.0] s"
-                    )
-            options["profile"] = dict(prof)
-        elif prof in (True, "sample", "sampling"):
-            options["profile"] = "sample" if prof is not True else True
-        elif prof is not False:
-            raise WireError(
-                "profile must be true, 'sample', or "
-                '{"mode": "sample", "interval": s}'
-            )
-    if "watchdog" in opts_doc:
-        wd = opts_doc["watchdog"]
-        if isinstance(wd, bool) or not isinstance(wd, (int, float)) \
-                or wd <= 0:
-            raise WireError(
-                "watchdog must be a positive no-progress window in seconds"
-            )
-        options["watchdog"] = float(wd)
-
+    # Wire-only rules; every value is then checked by the run-option
+    # table, against the chosen backend's column.
+    options = {k: v for k, v in opts_doc.items()
+               if k not in ("backend", "retry")}
+    options.setdefault("on_error", default_on_error)
+    workers = options.get("workers", 1)
+    if isinstance(workers, int) and workers > 16:
+        # Bounded so a tenant cannot ask the service to fork an
+        # arbitrary process count.
+        raise WireError("workers must be an integer in [1, 16]")
+    if "faults" in options:
+        options["faults"] = _parse_faults(options["faults"])
+    if "profile" in options:
+        options["profile"] = _parse_profile(options["profile"])
+    retry = _parse_retry(opts_doc.get("retry"))
+    try:
+        bind_options(backend, dict(options, retry=retry))
+    except (CgsimError, TypeError, ValueError) as exc:
+        raise WireError(str(exc)) from exc
     trace = bool(doc.get("trace", False))
     label = str(doc.get("label", ""))
 
@@ -448,7 +391,7 @@ def parse_submission(body: bytes, *, apps: Dict[str, Any],
         inputs=inputs,
         options=options,
         backend=backend,
-        retry=_parse_retry(opts_doc.get("retry")),
+        retry=retry,
         trace=trace,
         return_outputs=bool(doc.get("return_outputs", True)),
         label=label,

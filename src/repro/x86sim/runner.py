@@ -34,14 +34,12 @@ from ..core.sources_sinks import (
     sink_store,
 )
 from ..errors import (
-    GraphRuntimeError,
     InjectedFaultError,
     PoisonSignal,
     SimDeadlockError,
     SimulationError,
 )
 from ..faults.cone import dependent_cone, failure_report
-from ..faults.plan import FaultPlan
 from ..faults.report import FailureReport, TaskFailure
 from ..faults.waitfor import Waiter, analyze_waiters
 from .channels import ThreadedBroadcastQueue, ThreadedLatchQueue
@@ -366,21 +364,14 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
     :class:`~repro.errors.SimDeadlockError`.
     """
     g = graph.graph if isinstance(graph, CompiledGraph) else graph
-    if on_error not in ("fail", "isolate", "poison"):
-        raise GraphRuntimeError(
-            f"on_error={on_error!r}; expected 'fail', 'isolate', or "
-            f"'poison'"
-        )
-    check_io(g, io)
-    fault_plan = FaultPlan.coerce(faults)
-    session = fault_plan.session(g) if fault_plan is not None else None
-    tracer = None
-    owns_tracer = False
-    if observe is not None and observe is not False:
-        from ..observe import make_tracer
+    from ..exec.spec import check_option
 
-        tracer = make_tracer(observe)
-        owns_tracer = tracer is not observe
+    on_error = check_option("x86sim", "on_error", on_error)
+    check_io(g, io)
+    fault_plan = check_option("x86sim", "faults", faults)
+    session = fault_plan.session(g) if fault_plan is not None else None
+    tracer = check_option("x86sim", "observe", observe)
+    owns_tracer = tracer is not None and tracer is not observe
     if session is not None:
         session.attach_tracer(tracer)
 

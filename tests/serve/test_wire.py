@@ -165,6 +165,34 @@ class TestParseSubmission:
             with pytest.raises(WireError):
                 _parse(_bitonic_doc(options={key: bad}))
 
+    @pytest.mark.parametrize("options,name", [
+        ({"backend": "cgsim", "timeout": 5}, "timeout"),
+        ({"backend": "cgsim", "workers": 2}, "workers"),
+        ({"backend": "x86sim", "batch_io": 8}, "batch_io"),
+        ({"backend": "x86sim", "max_steps": 1000}, "max_steps"),
+    ])
+    def test_backend_unsupported_option_is_400(self, options, name):
+        with pytest.raises(WireError) as ei:
+            _parse(_bitonic_doc(options=options))
+        assert ei.value.status == 400
+        assert options["backend"] in str(ei.value)
+        assert name in str(ei.value)
+
+    @pytest.mark.parametrize("options", [
+        {"backend": "x86sim", "optimize": "fuse"},
+        {"backend": "x86sim", "watchdog": 5.0},
+    ])
+    def test_backend_ignored_option_is_admitted(self, options):
+        sub = _parse(_bitonic_doc(options=options))
+        assert sub.backend == "x86sim"
+
+    def test_allowlist_comes_from_the_run_option_table(self):
+        from repro.exec.spec import OPTIONS
+        from repro.serve.wire import RUN_OPTION_KEYS
+
+        assert set(RUN_OPTION_KEYS) == {"backend"} | {
+            n for n, o in OPTIONS.items() if o.wire}
+
     def test_retry_forms(self):
         from repro.faults import RetryPolicy
 
