@@ -53,7 +53,8 @@ class Accum:
             # accumulator, so any representable value is in range.
             return
         lim = np.int64(1) << (bits - 1)
-        if np.any(self.data >= lim) or np.any(self.data < -lim):
+        d = self.data
+        if d.size and (d.max() >= lim or d.min() < -lim):
             raise OverflowError(
                 f"{self.kind} accumulator overflow (|x| >= 2^{bits - 1}); "
                 f"the real hardware would wrap here"

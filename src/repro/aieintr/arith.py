@@ -74,7 +74,7 @@ def sliding_mul(coeffs: AieVector, data: np.ndarray, out_lanes: int,
     ``i in range(out_lanes)``.  *data* must be an array with at least
     ``start + (out_lanes-1)*step + len(coeffs)`` elements.  On hardware
     this reads a vector register pair with a sliding extraction network;
-    the emulation uses a strided view (no copy of the window data).
+    the emulation works on strided views (no copy of the windows).
     """
     return sliding_mac(None, coeffs, data, out_lanes, start, step)
 
@@ -89,10 +89,8 @@ def sliding_mac(acc, coeffs: AieVector, data: np.ndarray, out_lanes: int,
         raise ValueError(
             f"sliding window needs {need} data elements, got {d.shape[0]}"
         )
-    # Strided sliding-window view: rows are the per-output windows.
-    windows = np.lib.stride_tricks.sliding_window_view(d, taps)[
-        start:start + out_lanes * step:step
-    ]
+    if d.ndim != 1:
+        raise ValueError("sliding window data must be one-dimensional")
     if np.iscomplexobj(d) or np.iscomplexobj(coeffs.data):
         raise TypeError(
             "sliding_mul/mac operate on real lanes; split complex data "
@@ -107,13 +105,24 @@ def sliding_mac(acc, coeffs: AieVector, data: np.ndarray, out_lanes: int,
     total_macs = out_lanes * taps
     if is_float:
         emit("vfpmac", total_macs, 4)
+        # Strided sliding-window view: rows are the per-output windows.
+        windows = np.lib.stride_tricks.sliding_window_view(d, taps)[
+            start:start + out_lanes * step:step
+        ]
         res = windows @ coeffs.data
         base = acc.data if acc is not None else 0
         kind = "accfloat"
         data_out = (base + res).astype(np.float32)
     else:
         emit("vmac", total_macs, coeffs.ebytes)
-        res = windows.astype(np.int64) @ coeffs.data.astype(np.int64)
+        # One strided multiply-add per tap.  int64 sums wrap mod 2^64 in
+        # any order, so this equals the windowed int64 matmul exactly;
+        # numpy cannot hand that matmul to BLAS, and it is far slower.
+        span = (out_lanes - 1) * step + 1
+        x = d[start:need].astype(np.int64, copy=False)
+        res = np.zeros(out_lanes, dtype=np.int64)
+        for k, c in enumerate(coeffs.data.astype(np.int64).tolist()):
+            res += c * x[k:k + span:step]
         base = acc.data if acc is not None else np.int64(0)
         kind = acc.kind if acc is not None else (
             "acc80" if coeffs.ebytes >= 4 else "acc48"

@@ -8,6 +8,7 @@ permute and the specific idioms that example uses.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ def permute(v: AieVector, indices: Sequence[int]) -> AieVector:
     if idx.min() < 0 or idx.max() >= v.lanes:
         raise ValueError("permutation index out of range")
     emit("vshuffle", v.lanes, v.ebytes)
-    return AieVector(v.data[idx].copy(), _trusted=True)
+    return AieVector(v.data[idx], _trusted=True)
 
 
 def reverse(v: AieVector) -> AieVector:
@@ -66,16 +67,25 @@ def swap_pairs(v: AieVector, width: int) -> AieVector:
     return AieVector(out.copy(), _trusted=True)
 
 
+@lru_cache(maxsize=256)
+def _butterfly_index(lanes: int, distance: int) -> np.ndarray:
+    """Read-only ``i ^ distance`` lane table, built once per shape."""
+    idx = np.arange(lanes) ^ distance
+    if distance <= 0 or (distance & (distance - 1)):
+        raise ValueError("butterfly distance must be a positive power of 2")
+    if distance >= lanes:
+        raise ValueError("butterfly distance exceeds vector width")
+    idx.setflags(write=False)
+    return idx
+
+
 def butterfly_partner(v: AieVector, distance: int) -> AieVector:
     """Lane i receives lane ``i ^ distance`` — the butterfly network
     step used by bitonic sorting networks."""
-    idx = np.arange(v.lanes) ^ distance
-    if distance <= 0 or (distance & (distance - 1)):
-        raise ValueError("butterfly distance must be a positive power of 2")
-    if distance >= v.lanes:
-        raise ValueError("butterfly distance exceeds vector width")
-    emit("vshuffle", v.lanes, v.ebytes)
-    return AieVector(v.data[idx].copy(), _trusted=True)
+    data = v.data
+    idx = _butterfly_index(data.shape[0], distance)
+    emit("vshuffle", data.shape[0], data.itemsize)
+    return AieVector(data[idx], _trusted=True)
 
 
 def interleave(a: AieVector, b: AieVector) -> AieVector:

@@ -8,6 +8,8 @@ and property-based tests share one audited implementation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .shuffle import butterfly_partner
@@ -17,18 +19,21 @@ from .vector import AieVector
 __all__ = ["compare_exchange", "bitonic_stage_dirs", "bitonic_sort_vector"]
 
 
+@lru_cache(maxsize=256)
 def bitonic_stage_dirs(lanes: int, stage: int, substage: int) -> np.ndarray:
     """Direction mask for one bitonic compare-exchange step.
 
     ``True`` in lane *i* means lane *i* keeps the **minimum** of the
     (i, i ^ distance) pair; ``False`` keeps the maximum.  ``stage`` is the
     outer bitonic stage (block size ``2**(stage+1)``), ``substage``
-    counts down the butterfly distances within it.
+    counts down the butterfly distances within it.  The mask is built
+    once per argument triple and returned read-only.
     """
     i = np.arange(lanes)
     distance = 1 << (stage - substage)
     ascending = ((i >> (stage + 1)) & 1) == 0
     keep_min = ((i & distance) == 0) == ascending
+    keep_min.setflags(write=False)
     return keep_min
 
 
@@ -43,9 +48,9 @@ def compare_exchange(v: AieVector, distance: int,
     partner = butterfly_partner(v, distance)
     lo = v.min(partner)
     hi = v.max(partner)
-    emit("vsel", v.lanes, v.ebytes)
+    emit("vsel", v.data.shape[0], v.data.itemsize)
     out = np.where(np.asarray(keep_min_mask, dtype=bool), lo.data, hi.data)
-    return AieVector(out.copy(), _trusted=True)
+    return AieVector(out, _trusted=True)
 
 
 def bitonic_sort_vector(v: AieVector, descending: bool = False) -> AieVector:

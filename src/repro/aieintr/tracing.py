@@ -5,13 +5,16 @@ runs functionally once while every SIMD intrinsic and stream access it
 performs is recorded as a micro-op; the VLIW scheduler model then packs
 those micro-ops into issue slots to estimate cycles.
 
-This module provides the recording hook.  When no recorder is active the
-emit path is a single global ``is None`` check, so functional simulation
-pays essentially nothing — consistent with the HPC guidance to keep hot
-loops free of incidental work.
+This module provides the recording hook.  Entering and leaving a
+:class:`TraceRecorder` adjusts a process-wide count of active recorders
+under a lock; :func:`emit` returns on its first line when that count is
+zero, before any thread-local lookup.  Functional simulation with no
+recorder anywhere therefore pays one global check per intrinsic.
 
-Only one recorder can be active per thread; recorders nest by explicit
-delegation if ever needed (they do not today).
+Recording is still per thread: a recorder captures only the emits of
+the thread that entered it, and each thread can have at most one
+active recorder.  While any recorder is active, emits on other threads
+pay the thread-local lookup and record nothing.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ class MicroOp:
 
 
 _tls = threading.local()
+_count_lock = threading.Lock()
+#: Recorders active on any thread; ``emit`` is a no-op while it is 0.
+_active = 0
 
 
 def active_recorder() -> Optional["TraceRecorder"]:
@@ -71,20 +77,29 @@ class TraceRecorder:
         self.counts[op] = self.counts.get(op, 0) + 1
 
     def __enter__(self) -> "TraceRecorder":
+        global _active
         if getattr(_tls, "recorder", None) is not None:
             raise RuntimeError("a TraceRecorder is already active")
+        with _count_lock:
+            _active += 1
         _tls.recorder = self
         return self
 
     def __exit__(self, *exc) -> None:
+        global _active
         _tls.recorder = None
+        with _count_lock:
+            _active -= 1
 
     def __len__(self):
         return len(self.ops)
 
 
 def emit(op: str, lanes: int = 1, ebytes: int = 4, **meta: Any) -> None:
-    """Record one micro-op if a recorder is active (no-op otherwise)."""
+    """Record one micro-op if this thread's recorder is active (no-op
+    otherwise)."""
+    if not _active:
+        return
     rec = getattr(_tls, "recorder", None)
     if rec is not None:
         rec.record(op, lanes, ebytes, tuple(sorted(meta.items())))

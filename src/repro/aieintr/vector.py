@@ -76,8 +76,9 @@ class AieVector:
     # -- lane access ----------------------------------------------------------------
 
     def __getitem__(self, i: int):
-        emit("vext_elem", 1, self.ebytes)
-        return self.data[i]
+        data = self.data
+        emit("vext_elem", 1, data.itemsize)
+        return data[i]
 
     def set(self, i: int, value) -> "AieVector":
         """Return a new vector with lane *i* replaced (``upd_elem``)."""
@@ -111,9 +112,10 @@ class AieVector:
         The AIE stream-to-vector idiom: build a vector one element at a
         time from a stream.
         """
-        emit("vshift_elem", self.lanes, self.ebytes)
-        out = np.empty_like(self.data)
-        out[1:] = self.data[:-1]
+        data = self.data
+        emit("vshift_elem", data.shape[0], data.itemsize)
+        out = np.empty_like(data)
+        out[1:] = data[:-1]
         out[0] = value
         return AieVector(out, _trusted=True)
 
@@ -185,12 +187,14 @@ class AieVector:
     # -- comparisons / blends -----------------------------------------------------------
 
     def max(self, other: "AieVector") -> "AieVector":
-        emit("vmax", self.lanes, self.ebytes)
-        return AieVector(np.maximum(self.data, other.data), _trusted=True)
+        data = self.data
+        emit("vmax", data.shape[0], data.itemsize)
+        return AieVector(np.maximum(data, other.data), _trusted=True)
 
     def min(self, other: "AieVector") -> "AieVector":
-        emit("vmin", self.lanes, self.ebytes)
-        return AieVector(np.minimum(self.data, other.data), _trusted=True)
+        data = self.data
+        emit("vmin", data.shape[0], data.itemsize)
+        return AieVector(np.minimum(data, other.data), _trusted=True)
 
     def lt(self, other: "AieVector") -> np.ndarray:
         """Per-lane compare; returns a boolean mask (``lt`` intrinsic)."""

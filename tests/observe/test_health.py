@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
 import time
 
 import pytest
@@ -18,6 +21,7 @@ from repro.core import (
 )
 from repro.errors import GraphRuntimeError
 from repro.observe import Tracer
+from repro.observe import health
 from repro.observe.events import HEALTH_STALL
 from repro.observe.health import (
     ProgressWatchdog,
@@ -128,6 +132,119 @@ class TestProgressWatchdog:
     def test_bad_window_rejected(self):
         with pytest.raises(GraphRuntimeError, match="window"):
             ProgressWatchdog(0.0)
+
+
+def _poller_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-watchdog"]
+
+
+class TestSharedPoller:
+    """Every watchdog is polled by one thread; starting one is not a
+    thread start."""
+
+    def test_concurrent_watchdogs_share_one_thread(self):
+        dogs = [ProgressWatchdog(5.0) for _ in range(3)]
+        for dog in dogs:
+            dog.start(progress_fn=lambda: 0)
+        try:
+            # (a thread retiring from earlier tests may linger briefly)
+            assert _wait_for(lambda: len(_poller_threads()) == 1)
+        finally:
+            for dog in dogs:
+                dog.stop()
+
+    def test_back_to_back_runs_reuse_the_thread(self):
+        health._poller.retire_idle()  # no thread lingering from before
+        first = ProgressWatchdog(5.0, poll_s=2.0)
+        first.start(progress_fn=lambda: 0)
+        thread = health._poller.thread
+        # wait until the thread sleeps toward ``first``'s first poll
+        assert _wait_for(lambda: health._poller.wake_at > 0)
+        first.stop()
+        second = ProgressWatchdog(5.0, poll_s=2.0)
+        second.start(progress_fn=lambda: 0)
+        try:
+            # The idle thread lingers until that scheduled wake-up.
+            assert health._poller.thread is thread
+        finally:
+            second.stop()
+
+    def test_concurrent_start_stop_stress(self):
+        """More threads than cores start and stop watchdogs with a tiny
+        switch interval; every registration must be undone."""
+        n_threads, rounds = 8, 100
+        dogs = []
+
+        def worker():
+            for _ in range(rounds):
+                dog = ProgressWatchdog(0.05, poll_s=0.001)
+                dog.start(progress_fn=lambda: 0)
+                dogs.append(dog)
+                dog.stop()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert len(dogs) == n_threads * rounds
+        assert not health._poller.due
+        assert not any(repr(d).count("running") for d in dogs)
+
+    def test_idle_thread_exits(self):
+        dog = ProgressWatchdog(0.02)
+        dog.start(progress_fn=lambda: 0)
+        dog.stop()
+        assert _wait_for(lambda: health._poller.thread is None)
+
+    def test_stop_from_on_stall_callback(self):
+        got: list = []
+
+        def on_stall(report):
+            got.append(report)
+            dog.stop()
+
+        dog = ProgressWatchdog(0.02, poll_s=0.005, on_stall=on_stall)
+        dog.start(progress_fn=lambda: 0)
+        assert _wait_for(lambda: got)
+        time.sleep(0.05)
+        assert len(got) == 1
+        assert repr(dog).count("idle") == 1
+
+    def test_idle_thread_retired_before_fork(self):
+        dog = ProgressWatchdog(5.0)
+        dog.start(progress_fn=lambda: 0)
+        dog.stop()
+        health._poller.retire_idle()
+        assert health._poller.thread is None
+        assert _wait_for(lambda: not _poller_threads())
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_starts_with_no_watchdogs(self):
+        dog = ProgressWatchdog(5.0)
+        dog.start(progress_fn=lambda: 0)
+        try:
+            rd, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child: report the poller state and leave
+                ok = health._poller.thread is None and not health._poller.due
+                os.write(wr, b"1" if ok else b"0")
+                os._exit(0)
+            os.close(wr)
+            child_view = os.read(rd, 1)
+            os.close(rd)
+            os.waitpid(pid, 0)
+            assert child_view == b"1"
+            assert dog in health._poller.due  # the parent keeps watching
+        finally:
+            dog.stop()
 
 
 class TestCoerceWatchdog:
