@@ -38,13 +38,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..errors import GraphRuntimeError, IoBindingError
-from .dtypes import StreamType, WindowType
-from .sources_sinks import ArraySinkCursor, iter_stream_values, sink_store
+from .dtypes import StreamType
+from .queues import DEFAULT_QUEUE_CAPACITY
+from .sources_sinks import ArraySinkCursor, sink_store, stream_chunks
 
 __all__ = [
     "ChainMember",
@@ -261,15 +260,20 @@ class SourceFeed:
     terminal blocked-read state, exactly as an unfused kernel ends up
     parked on a drained queue.
 
+    Every container kind is served by slices: the feed keeps one buffer
+    refilled from :func:`~repro.core.sources_sinks.stream_chunks` with
+    what a read lacks, at least one chunk at a time, so a list, tuple or
+    numpy array hands a large read one ``list(data[a:b])`` run and a
+    generator is pulled less than one chunk ahead of what was served.
+
     ``total_puts``/``total_gets`` advance per element served so the
     runtime's ``items_in`` accounting is unchanged.
     """
 
     __slots__ = (
-        "name", "n_consumers", "capacity", "_mode", "_data", "_pos",
-        "_end", "_count", "_iter", "_pushback", "_observe",
-        "read_waiters", "write_waiters", "total_puts", "total_gets",
-        "producer_names", "consumer_names",
+        "name", "n_consumers", "capacity", "_chunks", "_chunk", "_buf",
+        "_pos", "_observe", "read_waiters", "write_waiters", "total_puts",
+        "total_gets", "producer_names", "consumer_names",
     )
 
     poisoned = False        # see FusedLink: boundary-only containment
@@ -279,13 +283,10 @@ class SourceFeed:
         self.name = name
         self.n_consumers = 1
         self.capacity = 0
-        self._mode = "unbound"
-        self._data: Any = None
+        self._chunks: Optional[Iterator[List[Any]]] = None
+        self._chunk = DEFAULT_QUEUE_CAPACITY
+        self._buf: Optional[List[Any]] = None   # None until bound
         self._pos = 0
-        self._end = 0
-        self._count = 1
-        self._iter = None
-        self._pushback: deque = deque()
         self._observe = None
         self.read_waiters: List[List] = [[]]
         self.write_waiters: List = []
@@ -294,31 +295,15 @@ class SourceFeed:
         self.producer_names: List[str] = []
         self.consumer_names: List[str] = []
 
-    def bind(self, dtype: StreamType, data: Any, validate: bool = False):
-        """Attach the user container (mirrors ``make_source`` semantics)."""
-        if self._mode != "unbound":
+    def bind(self, dtype: StreamType, data: Any, validate: bool = False,
+             chunk: int = DEFAULT_QUEUE_CAPACITY):
+        """Attach the user container (mirrors ``make_source`` semantics:
+        *chunk* plays the source ring's capacity)."""
+        if self._buf is not None:
             raise IoBindingError(f"feed {self.name!r} already bound")
-        if not validate and isinstance(data, np.ndarray) and data.ndim == 1 \
-                and isinstance(dtype, WindowType):
-            if data.size % dtype.count != 0:
-                raise IoBindingError(
-                    f"flat array of {data.size} elements cannot be chunked "
-                    f"into windows of {dtype.count}"
-                )
-            self._mode = "blocks"
-            self._data = data
-            self._count = dtype.count
-            self._pos = 0
-            self._end = data.size // dtype.count
-        elif not validate and isinstance(data, (list, tuple)) \
-                and not isinstance(dtype, WindowType):
-            self._mode = "seq"
-            self._data = data
-            self._pos = 0
-            self._end = len(data)
-        else:
-            self._mode = "iter"
-            self._iter = iter_stream_values(dtype, data, validate)
+        self._chunks = stream_chunks(dtype, data, validate, chunk)
+        self._chunk = chunk
+        self._buf = []
 
     # -- wiring --------------------------------------------------------------
 
@@ -339,23 +324,25 @@ class SourceFeed:
 
     # -- introspection -------------------------------------------------------
 
+    def _fill(self, want: int) -> int:
+        """Buffer at least *want* unserved elements while the input
+        lasts; returns how many are buffered."""
+        have = len(self._buf) - self._pos
+        if have >= want or self._chunks is None:
+            return have
+        buf = self._buf = self._buf[self._pos:]
+        self._pos = 0
+        try:
+            while len(buf) < want:
+                buf += self._chunks.send(max(want - len(buf), self._chunk))
+        except StopIteration:
+            self._chunks = None
+        return len(buf)
+
     @property
     def done(self) -> bool:
         """True once every bound element has been served."""
-        if self._pushback:
-            return False
-        if self._mode in ("seq", "blocks"):
-            return self._pos >= self._end
-        if self._mode == "iter":
-            if self._iter is None:
-                return True
-            try:
-                self._pushback.append(next(self._iter))
-            except StopIteration:
-                self._iter = None
-                return True
-            return False
-        return False  # unbound: graph never ran its I/O
+        return self._buf is not None and not self._fill(1)
 
     def size_for(self, consumer_idx: int) -> int:
         # Un-served input is not "queued" data; parity with an unfused
@@ -375,76 +362,30 @@ class SourceFeed:
 
     # -- transfers -----------------------------------------------------------
 
-    def _next(self):
-        """One element, or raise StopIteration when exhausted."""
-        if self._pushback:
-            return self._pushback.popleft()
-        mode = self._mode
-        if mode == "seq":
-            pos = self._pos
-            if pos >= self._end:
-                raise StopIteration
-            self._pos = pos + 1
-            return self._data[pos]
-        if mode == "blocks":
-            pos = self._pos
-            if pos >= self._end:
-                raise StopIteration
-            self._pos = pos + 1
-            c = self._count
-            return self._data[pos * c:(pos + 1) * c]
-        if mode == "iter" and self._iter is not None:
-            try:
-                return next(self._iter)
-            except StopIteration:
-                self._iter = None
-                raise
-        raise StopIteration
-
     def try_get(self, consumer_idx: int) -> Tuple[bool, Any]:
-        try:
-            v = self._next()
-        except StopIteration:
+        if self._buf is None or not self._fill(1):
             return False, None
+        value = self._buf[self._pos]
+        self._pos += 1
         self.total_puts += 1
         self.total_gets += 1
-        return True, v
+        return True, value
 
     def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
-        out: List[Any] = []
-        if max_n <= 0:
-            return out
-        if self._mode == "seq" and not self._pushback:
-            pos = self._pos
-            n = min(max_n, self._end - pos)
-            if n > 0:
-                out = list(self._data[pos:pos + n])
-                self._pos = pos + n
-        elif self._mode == "blocks" and not self._pushback:
-            pos = self._pos
-            n = min(max_n, self._end - pos)
-            c = self._count
-            for i in range(pos, pos + n):
-                out.append(self._data[i * c:(i + 1) * c])
-            self._pos = pos + n
-        else:
-            while len(out) < max_n:
-                try:
-                    out.append(self._next())
-                except StopIteration:
-                    break
-        n = len(out)
+        if max_n <= 0 or self._buf is None:
+            return []
+        n = min(self._fill(max_n), max_n)
+        pos = self._pos
+        out = self._buf[pos:pos + n]
+        self._pos = pos + n
         self.total_puts += n
         self.total_gets += n
         return out
 
     def peek(self, consumer_idx: int) -> Tuple[bool, Any]:
-        if not self._pushback:
-            try:
-                self._pushback.append(self._next())
-            except StopIteration:
-                return False, None
-        return True, self._pushback[0]
+        if self._buf is None or not self._fill(1):
+            return False, None
+        return True, self._buf[self._pos]
 
     def try_put(self, value: Any) -> bool:  # pragma: no cover - defensive
         raise GraphRuntimeError(f"cannot write into source feed {self.name!r}")
@@ -453,7 +394,7 @@ class SourceFeed:
         raise GraphRuntimeError(f"cannot write into source feed {self.name!r}")
 
     def __repr__(self):
-        return f"<SourceFeed {self.name or '?'} mode={self._mode}>"
+        return f"<SourceFeed {self.name or '?'} served={self.total_gets}>"
 
 
 class SinkStore:
@@ -467,9 +408,9 @@ class SinkStore:
     """
 
     __slots__ = (
-        "name", "n_consumers", "capacity", "_store", "_cursor", "_n_list",
-        "_observe", "read_waiters", "write_waiters", "total_puts",
-        "total_gets", "producer_names", "consumer_names",
+        "name", "n_consumers", "capacity", "_store", "_store_many",
+        "_cursor", "_n_list", "_observe", "read_waiters", "write_waiters",
+        "total_puts", "total_gets", "producer_names", "consumer_names",
     )
 
     poisoned = False        # see FusedLink: boundary-only containment
@@ -479,7 +420,7 @@ class SinkStore:
         self.name = name
         self.n_consumers = 1
         self.capacity = 0
-        self._store = None
+        self._store = self._store_many = None
         self._cursor: Optional[ArraySinkCursor] = None
         self._n_list = 0
         self._observe = None
@@ -494,7 +435,8 @@ class SinkStore:
         """Attach the user container (the shared ``sink_store`` rule)."""
         if self._store is not None:
             raise IoBindingError(f"store {self.name!r} already bound")
-        self._store, self._cursor = sink_store(dtype, container)
+        self._store, self._store_many, self._cursor = sink_store(
+            dtype, container)
 
     # -- wiring --------------------------------------------------------------
 
@@ -548,9 +490,7 @@ class SinkStore:
         n = len(values) - start
         if n <= 0:
             return 0
-        store = self._store
-        for i in range(start, start + n):
-            store(values[i])
+        self._store_many(values[start:] if start else values)
         self._n_list += n
         self.total_puts += n
         self.total_gets += n

@@ -118,10 +118,10 @@ class RuntimeContext:
         Enable per-element stream type checking on kernel writes and
         sources (off by default; it costs a dtype conversion per item).
     batch_io:
-        When set (> 1), global-I/O sources and sinks move elements in
-        bulk ring runs of this size instead of one element per awaitable
-        (the batched port I/O fast path).  Kernel-side batching is opt-in
-        per kernel via ``port.get_batch`` / ``port.put_batch``.
+        Longest run a global-I/O source or sink moves per bulk ring
+        transfer; ``None`` (the default) means the ring's capacity, and
+        ``1`` stages one element at a time.  Kernel-side batching is
+        opt-in per kernel via ``port.get_batch`` / ``port.put_batch``.
     observe:
         Structured event tracing (``repro.observe``).  Accepts anything
         :func:`repro.observe.make_tracer` understands: ``True`` for an
@@ -183,6 +183,7 @@ class RuntimeContext:
         self.graph = graph
         self.validate = validate
         self.batch_io = batch_io
+        self.capacity = capacity
         from ..exec.spec import check_option
 
         # The run-option table's coercers (repro.exec.spec); values the
@@ -462,7 +463,8 @@ class RuntimeContext:
             elif isinstance(q, SourceFeed):
                 # Net owned exclusively by a fused chain: the driver pulls
                 # elements straight from the container, no source task.
-                q.bind(net.dtype, container, validate=self.validate)
+                q.bind(net.dtype, container, self.validate,
+                       self.batch_io or self.capacity)
                 q.producer_names.append(f"source[{gio.io_index}]")
             else:
                 coro = make_source(q, net.dtype, container, self.validate,

@@ -3,7 +3,8 @@
 cgsim streams data into and out of a graph's global ports through
 specialised coroutines that the RuntimeContext attaches after
 instantiating the graph.  Each source/sink coroutine bridges one stream
-to a standard Python container supplied by the user:
+to a standard Python container supplied by the user, moving elements in
+contiguous runs (one bulk ring write or read per run):
 
 * **input**: any iterable (list, generator, numpy array).  For window
   (buffer) streams, a flat numpy array is automatically chunked into
@@ -20,20 +21,20 @@ global-input order, then sinks in global-output order (§3.7).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional
+from itertools import chain, islice
+from typing import Any, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import IoBindingError, PoisonSignal, StreamTypeError
-from .dtypes import ScalarType, StreamType, WindowType
-from .queues import BroadcastQueue
+from .dtypes import StreamType, WindowType
+from .queues import DEFAULT_QUEUE_CAPACITY, BroadcastQueue
 
 __all__ = [
     "RuntimeParam",
     "queue_put",
     "queue_get",
-    "queue_put_many",
-    "queue_get_up_to",
+    "stream_chunks",
     "iter_stream_values",
     "make_source",
     "make_sink",
@@ -167,85 +168,116 @@ def queue_get(queue: BroadcastQueue, consumer_idx: int) -> _QueueGet:
     return _QueueGet(queue, consumer_idx)
 
 
-def queue_put_many(queue: BroadcastQueue, values) -> _QueuePutMany:
-    return _QueuePutMany(queue, values)
-
-
-def queue_get_up_to(queue: BroadcastQueue, consumer_idx: int,
-                    max_n: int) -> _QueueGetUpTo:
-    return _QueueGetUpTo(queue, consumer_idx, max_n)
-
-
 # ---------------------------------------------------------------------------
 # Input adaptation
 # ---------------------------------------------------------------------------
 
 
-def iter_stream_values(dtype: StreamType, data: Any,
-                       validate: bool = False) -> Iterator[Any]:
-    """Adapt a user container to a stream of *dtype* elements.
+def _slices(data: Any, n: int) -> Iterator[List[Any]]:
+    """``list(data[i:i + k])`` runs of a list, tuple or numpy array."""
+    k = yield
+    i = 0
+    while i < len(data):
+        chunk = list(data[i:i + (k or n)])
+        i += len(chunk)
+        k = yield chunk
 
-    Window streams accept either an iterable of ready-made blocks or one
-    flat numpy array whose length is a multiple of the window size (the
-    convenient form for the AMD example test vectors).
+
+def _pull(values: Iterator[Any], n: int) -> Iterator[List[Any]]:
+    """Lists pulled lazily from *values*.
+
+    An element that raises (a failing generator, a rejected value) ends
+    its list early and the error surfaces on the next pull, so the
+    elements before it are still delivered first — exactly as
+    element-by-element iteration would deliver them.
+    """
+    k = yield
+    while True:
+        chunk: List[Any] = []
+        try:
+            chunk.extend(islice(values, k or n))
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        k = yield chunk
+
+
+def _started(chunks: Iterator[List[Any]]) -> Iterator[List[Any]]:
+    next(chunks)   # run to the first size request; nothing is pulled
+    return chunks
+
+
+def stream_chunks(dtype: StreamType, data: Any, validate: bool = False,
+                  n: int = DEFAULT_QUEUE_CAPACITY) -> Iterator[List[Any]]:
+    """Adapt a user container to lists of *dtype* elements, *n* at a time.
+
+    The one input adapter of every scheduler path.  A list, tuple or
+    numpy array is served by slices, ``list(data[i:i + n])`` — numpy
+    scalars or row views, the same objects iteration gives.  A window
+    stream also accepts one flat numpy array whose length is a multiple
+    of the window size (the convenient form for the AMD example test
+    vectors), served as block views.  Any other iterable is pulled
+    lazily.  ``validate`` type-checks every element.  A container that
+    cannot bind raises here, not on the first pull.
+
+    Iterating yields lists of *n*; a consumer that knows its demand
+    ``send``s the length of the next list instead (a fused chain's
+    :class:`~repro.core.fused.SourceFeed` serves each read with one
+    slice).  Either way a lazily pulled iterable is never read more
+    than one list ahead of what was taken.
     """
     if isinstance(dtype, WindowType) and isinstance(data, np.ndarray):
+        w = dtype.count
         if data.ndim == 1:
-            if data.size % dtype.count != 0:
+            if data.size % w != 0:
                 raise IoBindingError(
                     f"flat array of {data.size} elements cannot be chunked "
-                    f"into windows of {dtype.count}"
+                    f"into windows of {w}"
                 )
-            blocks: Iterable[Any] = (
-                data[i:i + dtype.count]
-                for i in range(0, data.size, dtype.count)
-            )
-        elif data.ndim == 2 and data.shape[1] == dtype.count:
-            blocks = iter(data)
-        else:
+            data = data.reshape(-1, w)   # rows are views of the blocks
+        elif not (data.ndim == 2 and data.shape[1] == w):
             raise IoBindingError(
                 f"array of shape {data.shape} does not match window "
-                f"stream of {dtype.count} elements"
+                f"stream of {w} elements"
             )
-        if validate:
-            return (dtype.validate(b) for b in blocks)
-        return iter(blocks)
-
-    it = iter(data)
+    if isinstance(data, (list, tuple)) or (
+            isinstance(data, np.ndarray) and data.ndim > 0):
+        chunks = _started(_slices(data, n))
+    else:
+        chunks = _started(_pull(iter(data), n))
     if validate:
-        return (dtype.validate(v) for v in it)
-    return it
+        return _started(
+            _pull(map(dtype.validate, chain.from_iterable(chunks)), n))
+    return chunks
 
 
-async def _source_coro(queue: BroadcastQueue, values: Iterator[Any]):
-    for v in values:
-        await _QueuePut(queue, v)
+def iter_stream_values(dtype: StreamType, data: Any,
+                       validate: bool = False) -> Iterator[Any]:
+    """:func:`stream_chunks` one element at a time (the x86sim source
+    threads)."""
+    return chain.from_iterable(stream_chunks(dtype, data, validate))
 
 
-async def _source_coro_batched(queue: BroadcastQueue,
-                               values: Iterator[Any], batch: int):
-    buf: List[Any] = []
-    for v in values:
-        buf.append(v)
-        if len(buf) >= batch:
-            await _QueuePutMany(queue, buf)
-            buf = []
-    if buf:
-        await _QueuePutMany(queue, buf)
+async def _source_coro(queue: BroadcastQueue, chunks: Iterator[List[Any]]):
+    for chunk in chunks:
+        await _QueuePutMany(queue, chunk)
 
 
 def make_source(queue: BroadcastQueue, dtype: StreamType, data: Any,
                 validate: bool = False, batch: Optional[int] = None):
     """Build the source coroutine feeding *queue* from *data* (§3.7).
 
-    ``batch`` > 1 switches to bulk ring writes: elements are staged in
-    groups of *batch* and delivered through ``try_put_many``, crossing
-    the scheduler at most once per queue-full transition.
+    Elements move in bulk ring writes of up to *batch* elements (by
+    default the ring's capacity) cut by :func:`stream_chunks`; a write
+    the ring cannot take whole parks once and resumes at the offset it
+    reached, so the source crosses the scheduler at most once per
+    queue-full transition.  ``batch=1`` stages one element at a time.
     """
-    values = iter_stream_values(dtype, data, validate)
-    if batch is not None and batch > 1:
-        return _source_coro_batched(queue, values, batch)
-    return _source_coro(queue, values)
+    return _source_coro(
+        queue, stream_chunks(dtype, data, validate, batch or queue.capacity))
 
 
 # ---------------------------------------------------------------------------
@@ -258,68 +290,95 @@ class ArraySinkCursor:
 
     Scalar streams fill one element per item; window streams fill one
     block per item.  Overflow raises — the caller sized the array.
+    Items land in a flat view of the array; an array reshape cannot view
+    flat (a transpose, say) is filled through a contiguous copy whose
+    every stored range is written back through ``array.flat``.
     """
 
     def __init__(self, array: np.ndarray, dtype: StreamType):
         self.array = array
         self.dtype = dtype
         self.count = 0  # items received
-        if isinstance(dtype, WindowType):
-            if array.size % dtype.count != 0:
-                raise IoBindingError(
-                    f"sink array of {array.size} elements is not a "
-                    f"multiple of the window size {dtype.count}"
-                )
-            self.capacity = array.size // dtype.count
-        else:
-            self.capacity = array.size
+        self.width = dtype.count if isinstance(dtype, WindowType) else 1
+        if array.size % self.width != 0:
+            raise IoBindingError(
+                f"sink array of {array.size} elements is not a "
+                f"multiple of the window size {self.width}"
+            )
+        self.capacity = array.size // self.width
+        self._flat = array.reshape(-1)
+        self._copied = not np.may_share_memory(self._flat, array)
 
     def store(self, value: Any) -> None:
-        if self.count >= self.capacity:
+        self.store_many((value,))
+
+    def store_many(self, values: Sequence[Any]) -> None:
+        """Store a list or tuple of items in order.
+
+        A scalar run converts with one ``np.asarray`` into one slice
+        write.  numpy refuses a run wherever element assignment would
+        refuse one of its elements; such a run (or a ragged one) is
+        stored element by element, so the same element raises the same
+        error after the same prefix.  An overflowing run stores what
+        fits, then raises.
+        """
+        room = self.capacity - self.count
+        if len(values) > room:
+            self.store_many(values[:room])
             raise StreamTypeError(
                 f"sink array overflow: capacity {self.capacity} items"
             )
-        flat = self.array.reshape(-1)
-        if isinstance(self.dtype, WindowType):
-            n = self.dtype.count
-            flat[self.count * n:(self.count + 1) * n] = value
-        else:
-            flat[self.count] = value
-        self.count += 1
+        flat = self._flat
+        w = self.width
+        if w == 1 and len(values) > 1:
+            try:
+                run = np.asarray(values, dtype=flat.dtype)
+            except Exception:
+                run = None   # the element loop below raises it in place
+            if run is not None and run.shape == (len(values),):
+                flat[self.count:self.count + len(run)] = run
+                self._advance(len(run))
+                return
+        for v in values:
+            i = self.count * w
+            if w == 1:
+                flat[i] = v
+            else:
+                flat[i:i + w] = v
+            self._advance(1)
+
+    def _advance(self, n: int) -> None:
+        lo = self.count * self.width
+        self.count += n
+        if self._copied:
+            hi = self.count * self.width
+            self.array.flat[lo:hi] = self._flat[lo:hi]
 
     @property
     def items_stored(self) -> int:
         return self.count
 
 
-async def _sink_coro(queue: BroadcastQueue, consumer_idx: int, store):
+async def _sink_coro(queue: BroadcastQueue, consumer_idx: int, store_many,
+                     batch: int):
     while True:
-        value = await _QueueGet(queue, consumer_idx)
-        store(value)
-
-
-async def _sink_coro_batched(queue: BroadcastQueue, consumer_idx: int,
-                             store, batch: int):
-    while True:
-        values = await _QueueGetUpTo(queue, consumer_idx, batch)
-        for v in values:
-            store(v)
+        store_many(await _QueueGetUpTo(queue, consumer_idx, batch))
 
 
 def sink_store(dtype: StreamType, container: Any):
     """How a stream output fills its sink *container* (§3.7).
 
-    Returns ``(store, cursor_or_None)``: a ``list`` is appended to, a
-    pre-allocated numpy array is filled front to back through an
-    :class:`ArraySinkCursor` (which also reports its item count).
-    Anything else is rejected.  Every backend binds its stream sinks
-    through this one rule.
+    Returns ``(store, store_many, cursor_or_None)``: a ``list`` is
+    appended to (``extend`` for a run), a pre-allocated numpy array is
+    filled front to back through an :class:`ArraySinkCursor` (which also
+    reports its item count).  Anything else is rejected.  Every backend
+    binds its stream sinks through this one rule.
     """
     if isinstance(container, list):
-        return container.append, None
+        return container.append, container.extend, None
     if isinstance(container, np.ndarray):
         cursor = ArraySinkCursor(container, dtype)
-        return cursor.store, cursor
+        return cursor.store, cursor.store_many, cursor
     raise IoBindingError(
         f"unsupported sink container {type(container).__name__}; pass a "
         f"list or a pre-allocated numpy array"
@@ -366,11 +425,10 @@ def make_sink(queue: BroadcastQueue, consumer_idx: int,
     """Build the sink coroutine draining *queue* into *container*.
 
     Returns ``(coroutine, cursor_or_None)`` (see :func:`sink_store`).
-    ``batch`` > 1 drains the queue through bulk ring reads of up to
-    *batch* elements per resume (up-to semantics, so a tail shorter
-    than the batch still drains).
+    Each read takes up to *batch* elements (by default the ring's
+    capacity; up-to semantics, so a tail shorter than the batch still
+    drains) and stores them with one ``store_many``.
     """
-    store, cursor = sink_store(dtype, container)
-    if batch is not None and batch > 1:
-        return _sink_coro_batched(queue, consumer_idx, store, batch), cursor
-    return _sink_coro(queue, consumer_idx, store), cursor
+    _store, store_many, cursor = sink_store(dtype, container)
+    return _sink_coro(queue, consumer_idx, store_many,
+                      batch or queue.capacity), cursor

@@ -9,7 +9,7 @@ through one entry point::
     from repro.exec import run_graph, available_backends
 
     out: list = []
-    result = run_graph(graph, data, out, backend="cgsim", batch_io=64)
+    result = run_graph(graph, data, out, backend="cgsim")
     assert result.completed and available_backends() == [
         "cgsim", "cgsim-mp", "pysim", "x86sim",
     ]

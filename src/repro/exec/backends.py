@@ -55,12 +55,9 @@ class CgsimBackend(ExecutionBackend):
 
         g = self._instantiate(graph)
         level = spec.optimize or "none"   # None where optimize is ignored
-        batch_io = spec.batch_io
-        if level == "full" and batch_io is None:
-            batch_io = 64   # rate-matched bulk I/O for what stayed unfused
         rt = RuntimeContext(
             g, capacity=spec.capacity, validate=spec.validate,
-            batch_io=batch_io, observe=spec.observe,
+            batch_io=spec.batch_io, observe=spec.observe,
             optimize_plan=get_plan(graph, g, level)
             if level != "none" else None,
             faults=spec.faults, on_error=spec.on_error,

@@ -156,7 +156,7 @@ OPTIONS: Dict[str, Option] = {
         _every(_SCHED, honour(False))),
     "batch_io": Option(
         _positive_int("batch_io"),
-        "bulk I/O run of global sources/sinks (64 under 'full')",
+        "longest global source/sink run (None: ring capacity)",
         _every(_SCHED, honour(None)), wire=True),
     "max_steps": Option(
         _positive_int("max_steps"), "livelock guard, scheduler resumes",

@@ -21,8 +21,8 @@
    every backend and trace replay use, with the lost shard and the
    sinks it homed added to the dead set;
 5. **merge** — sink payloads land in the caller's containers in net
-   FIFO order (bit-identical to a single-process run; list sinks take
-   one bulk ``extend``, arrays fill through the shared
+   FIFO order (bit-identical to a single-process run; one bulk
+   ``store_many`` per sink, through the shared
    :func:`~repro.core.sources_sinks.sink_store`), RTP latch values
    fill the caller's :class:`~repro.core.sources_sinks.RuntimeParam`
    boxes, per-worker statistics are summed, and observe events from all
@@ -149,12 +149,8 @@ def _merge_outputs(graph, placement: Placement, io, results,
         home = placement.sink_home(gio.io_index)
         msg = results.get(home)
         payload = msg["sinks"].get(gio.io_index, []) if msg else []
-        if isinstance(container, list):
-            container.extend(payload)  # bulk path for the common case
-        else:
-            store, _cursor = sink_store(net.dtype, container)
-            for v in payload:
-                store(v)
+        _store, store_many, _cursor = sink_store(net.dtype, container)
+        store_many(payload)
         counts[gio.io_index] = len(payload)
         items_out += len(payload)
     return items_out, counts

@@ -473,7 +473,7 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
             rtp_sinks.append((q, container))
             continue
         cidx = alloc_consumer(gio.net_id)
-        store, cursor = sink_store(net.dtype, container)
+        store, _many, cursor = sink_store(net.dtype, container)
         if cursor is not None:
             sink_cursors.append(cursor)
         q.consumer_names.append(f"sink[{gio.io_index}]")
