@@ -79,7 +79,8 @@ from .ports import (
     merge_settings,
 )
 from .queues import DEFAULT_QUEUE_CAPACITY, BroadcastQueue, LatchQueue
-from .runtime import RunReport, RuntimeContext
+from .result import RunResult
+from .runtime import RuntimeContext
 from .scheduler import CooperativeScheduler, SchedulerStats, TaskState, sched_yield
 from .serialize import FORMAT_VERSION, SerializedGraph, flatten_graph
 from .sources_sinks import RuntimeParam
@@ -117,7 +118,7 @@ __all__ = [
     "ComputeGraph", "Net", "KernelInstance", "PortEndpoint",
     "SerializedGraph", "flatten_graph", "FORMAT_VERSION",
     # runtime
-    "RuntimeContext", "RunReport", "RuntimeParam", "BroadcastQueue",
+    "RuntimeContext", "RunResult", "RuntimeParam", "BroadcastQueue",
     "LatchQueue", "DEFAULT_QUEUE_CAPACITY", "CooperativeScheduler",
     "SchedulerStats", "TaskState", "sched_yield",
     # transports

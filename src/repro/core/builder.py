@@ -378,7 +378,7 @@ class CompiledGraph:
     def __call__(self, *io, **run_options):
         """Instantiate and run the graph with the given sources/sinks
         on the cgsim runtime (options as ``run_graph(backend="cgsim")``
-        takes them); returns the :class:`~repro.core.runtime.RunReport`."""
+        takes them); returns the :class:`~repro.core.result.RunResult`."""
         from ..exec.backends import call_graph
 
         return call_graph(self, io, run_options)

@@ -13,7 +13,8 @@ a compute graph.  Construction mirrors the paper's sequence exactly:
 5. terminate all kernel coroutines and release their frames; results
    remain in the user's sink containers.
 
-A :class:`RunReport` summarises the execution: per-task final states,
+:meth:`RuntimeContext.run` returns the run's
+:class:`~repro.core.result.RunResult`: per-task final states,
 context-switch counts, item transfer counts, optional kernel-vs-overhead
 time split, and stall diagnostics.
 """
@@ -21,10 +22,8 @@ time split, and stall diagnostics.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from functools import partial
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import (
     DeadlockError,
@@ -46,6 +45,7 @@ from .fused import (
 from .graph import ComputeGraph, Net
 from .ports import KernelReadPort, KernelWritePort
 from .queues import BroadcastQueue, DEFAULT_QUEUE_CAPACITY, LatchQueue
+from .result import RunResult, kernel_fraction
 from .scheduler import CooperativeScheduler, SchedulerStats, TaskState
 from .sources_sinks import (
     RuntimeParam,
@@ -54,171 +54,44 @@ from .sources_sinks import (
     make_source,
 )
 
-__all__ = ["RuntimeContext", "RunReport"]
+if TYPE_CHECKING:
+    from ..exec.spec import RunSpec
 
-
-@dataclass
-class RunReport:
-    """Outcome of one graph execution."""
-
-    graph_name: str
-    stats: SchedulerStats
-    completed: bool                 # every source fully drained, no stall
-    deadlocked: bool                # kernels left blocked on writes
-    items_in: int                   # elements consumed from all sources
-    items_out: int                  # elements delivered to all sinks
-    task_states: Dict[str, str] = field(default_factory=dict)
-    stall_diagnosis: str = ""
-    warnings: List[str] = field(default_factory=list)
-    #: :class:`repro.faults.FailureReport` when a kernel failed under
-    #: ``on_error="isolate"`` / ``"poison"`` (the run returned instead
-    #: of raising); ``None`` for clean runs and for ``on_error="fail"``.
-    failure: Any = None
-    #: :class:`repro.faults.DeadlockReport` (wait-for-graph analysis)
-    #: when the run stalled; names the exact task cycle if one exists.
-    deadlock: Any = None
-    #: :class:`repro.checkpoint.CheckpointInfo` when the run executed
-    #: with ``checkpoint=`` and captured at least once; ``None``
-    #: otherwise.
-    checkpoint: Any = None
-
-    @property
-    def context_switches(self) -> int:
-        return self.stats.context_switches
-
-    @property
-    def wall_time(self) -> float:
-        return self.stats.wall_time
-
-    @property
-    def kernel_fraction(self) -> float:
-        return self.stats.kernel_fraction
-
-    def __repr__(self):
-        status = "ok" if self.completed else (
-            "FAILED" if self.failure is not None
-            else "DEADLOCK" if self.deadlocked else "stalled"
-        )
-        return (
-            f"<RunReport {self.graph_name!r} {status} in={self.items_in} "
-            f"out={self.items_out} switches={self.context_switches}>"
-        )
+__all__ = ["RuntimeContext"]
 
 
 class RuntimeContext:
     """A single execution instance of a compute graph (§3.6).
 
-    Parameters
-    ----------
-    graph:
-        The deserialized :class:`ComputeGraph`.
-    capacity:
-        Default queue capacity for nets that specify no depth.
-    validate:
-        Enable per-element stream type checking on kernel writes and
-        sources (off by default; it costs a dtype conversion per item).
-    batch_io:
-        Longest run a global-I/O source or sink moves per bulk ring
-        transfer; ``None`` (the default) means the ring's capacity, and
-        ``1`` stages one element at a time.  Kernel-side batching is
-        opt-in per kernel via ``port.get_batch`` / ``port.put_batch``.
-    observe:
-        Structured event tracing (``repro.observe``).  Accepts anything
-        :func:`repro.observe.make_tracer` understands: ``True`` for an
-        in-memory ring, a ring size, a ``.jsonl``/``.json`` path, a
-        ``TraceSink``, or a ready ``Tracer``.  ``None`` (the default)
-        keeps tracing off at a single pointer test per hook site.
-    optimize_plan:
-        An :class:`~repro.core.fused.OptimizedPlan` from the plan
-        compiler (``repro.exec.optimize``).  Chains named by the plan
-        run as fused drivers: member-to-member nets become local
-        :class:`FusedLink` buffers, exclusively-chain-owned graph
-        inputs/outputs bind straight to the user containers, and the
-        chain executes as one scheduler task.  ``None`` (the default)
-        runs every kernel as its own task.
-    faults:
-        Deterministic fault injection (:mod:`repro.faults`): a
-        :class:`~repro.faults.FaultPlan`, a single injection spec, or a
-        list of specs.  Target names are validated against the graph at
-        construction.  ``None`` (the default) injects nothing and runs
-        exactly the unfaulted code paths.
-    on_error:
-        Failure policy when a kernel raises.  ``"fail"`` (the default)
-        keeps the legacy behavior: cancel everything and raise
-        :class:`GraphRuntimeError`.  ``"isolate"`` contains the failure:
-        the failing task is marked failed, only its dependent cone is
-        cancelled, and :meth:`run` returns a :class:`RunReport` whose
-        ``failure`` is a :class:`~repro.faults.FailureReport`.
-        ``"poison"`` propagates instead: the failing task's output
-        streams are poisoned, downstream kernels drain buffered data
-        then terminate, cascading the marker to the sinks.
-    transport:
-        Stream-net carrier selection (:mod:`repro.core.transport`): a
-        registered transport name or :class:`TransportInfo`.  Must be
-        scheduler-aware (wakes cooperative waiter lists).  ``None``
-        (the default) builds plain in-process
-        :class:`~repro.core.queues.BroadcastQueue` rings with no
-        registry indirection — behavior-identical to earlier releases.
-    watchdog:
-        Progress monitoring (:mod:`repro.observe.health`): a no-progress
-        window in seconds or a ready
-        :class:`~repro.observe.health.ProgressWatchdog`.  The watchdog
-        polls queue transfer totals and task resume counts from its own
-        thread (no per-event hooks) and emits a ``health.stall`` trace
-        event with a ``describe_blockage`` snapshot when a full window
-        passes without progress.  ``None`` (the default) runs nothing.
+    Every run option is read from *spec*, a
+    :class:`~repro.exec.spec.RunSpec` bound for ``"cgsim"`` or
+    ``"pysim"`` (what each option means is in :mod:`repro.exec.spec`);
+    ``None`` binds the defaults.  *optimize_plan* is the plan compiler's
+    :class:`~repro.core.fused.OptimizedPlan` for ``spec.optimize``
+    (``repro.exec.optimize``): its chains run as fused drivers.  The
+    context never closes ``spec.observe``; whoever bound it does.
     """
 
-    def __init__(self, graph: ComputeGraph,
-                 capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 validate: bool = False,
-                 batch_io: Optional[int] = None,
-                 observe: Any = None,
-                 optimize_plan: Optional[OptimizedPlan] = None,
-                 faults: Any = None,
-                 on_error: str = "fail",
-                 transport: Any = None,
-                 watchdog: Any = None,
-                 checkpoint: Any = None):
+    def __init__(self, graph: ComputeGraph, spec: "RunSpec" = None,
+                 optimize_plan: Optional[OptimizedPlan] = None):
+        if spec is None:
+            from ..exec.spec import bind_options
+
+            spec = bind_options("cgsim", {}, engine=True)
         self.graph = graph
-        self.validate = validate
-        self.batch_io = batch_io
-        self.capacity = capacity
-        from ..exec.spec import check_option
-
-        # The run-option table's coercers (repro.exec.spec); values the
-        # exec backends already bound coerce to themselves.
-        bound = partial(check_option, "cgsim")
-
-        # Stream-net carrier selection (repro.core.transport).  None is
-        # the plain in-process ring with no registry hop — the default
-        # path stays byte-identical to the pre-transport-layer runtime.
-        self._transport = bound("transport", transport) \
-            if transport is not None else None
-        self.on_error = bound("on_error", on_error)
-        fault_plan = bound("faults", faults)
+        self.spec = spec
+        validate, capacity = spec.validate, spec.capacity
+        transport = spec.transport  # None: plain in-process rings
+        fault_plan = spec.faults
         self.fault_session = fault_plan.session(graph) \
             if fault_plan is not None else None
-        self.tracer = bound("observe", observe)
-        #: Whether this context closes the tracer at the end of run() (it
-        #: built it, or the exec backend handed it over) vs. borrowed a
-        #: caller-owned one that the caller will close.
-        self.owns_tracer = self.tracer is not None \
-            and self.tracer is not observe
-        #: Label stamped into run.begin/run.end trace events.  The exec
-        #: backends overwrite it (pysim runs on this same runtime).
-        self.backend_label = "cgsim"
-        self.watchdog = bound("watchdog", watchdog)
-        # Checkpoint capture (repro.checkpoint): coerced here so a bad
-        # spec fails at construction; the capture session itself is
-        # built per run() (it needs the scheduler and tracer).
-        self.checkpoint_policy = bound("checkpoint", checkpoint)
         self.checkpoint_session = None
         self.optimize_plan = optimize_plan
         self.queues: Dict[int, BroadcastQueue] = {}
         self._consumer_alloc: Dict[int, int] = {}  # net_id -> next idx
         self._kernel_ports: List[Tuple] = []       # per-instance port lists
         self._io_bound = False
+        self._sink_containers: List[Any] = []
         self._sources: List[Tuple[int, Any]] = []  # (input_idx, coroutine)
         self._sinks: List[Tuple[int, Any]] = []    # (output_idx, coroutine)
         self._rtp_sinks: List[Tuple[int, LatchQueue, RuntimeParam]] = []
@@ -283,10 +156,10 @@ class RuntimeContext:
                 if depth is None:
                     attr_depth = net.attrs.get("depth")
                     depth = int(attr_depth) if attr_depth is not None else capacity
-                if self._transport is not None:
+                if transport is not None:
                     from .transport import make_queue
 
-                    q = make_queue(self._transport, capacity=depth,
+                    q = make_queue(transport, capacity=depth,
                                    n_consumers=n_consumers,
                                    n_producers=max(len(net.producers), 1),
                                    name=net.name)
@@ -325,15 +198,15 @@ class RuntimeContext:
             ins: List[Tuple[Any, int]] = []
             outs: List[Any] = []
             for port_idx, net_id in enumerate(inst.port_nets):
-                spec = inst.kernel.port_specs[port_idx]
+                pspec = inst.kernel.port_specs[port_idx]
                 q = self.queues[net_id]
-                if spec.is_input:
+                if pspec.is_input:
                     cidx = self._alloc_consumer(net_id)
-                    ports.append(KernelReadPort(spec, q, cidx))
+                    ports.append(KernelReadPort(pspec, q, cidx))
                     q.consumer_names.append(name)
                     ins.append((q, cidx))
                 else:
-                    ports.append(KernelWritePort(spec, q, validate=validate))
+                    ports.append(KernelWritePort(pspec, q, validate=validate))
                     q.producer_names.append(name)
                     outs.append(q)
             coro = inst.kernel.instantiate(ports)
@@ -353,7 +226,7 @@ class RuntimeContext:
 
     def _build_driver(self, chain) -> FusedDriver:
         """Instantiate a chain's members and wire them into a driver."""
-        validate = self.validate
+        validate = self.spec.validate
         session = self.fault_session
         members: List[FusedMember] = []
         out_member: Dict[int, FusedMember] = {}  # link net -> producer
@@ -364,18 +237,18 @@ class RuntimeContext:
         for mb in chain.members:
             ports = []
             for port_idx, net_id in enumerate(mb.port_nets):
-                spec = mb.kernel.port_specs[port_idx]
+                pspec = mb.kernel.port_specs[port_idx]
                 q = self.queues[net_id]
-                if spec.is_input:
+                if pspec.is_input:
                     if isinstance(q, (FusedLink, SourceFeed)):
                         cidx = 0  # single consumer by construction
                     else:
                         cidx = self._alloc_consumer(net_id)
                         ins.append((q, cidx))
-                    ports.append(KernelReadPort(spec, q, cidx))
+                    ports.append(KernelReadPort(pspec, q, cidx))
                     q.consumer_names.append(mb.name)
                 else:
-                    ports.append(KernelWritePort(spec, q, validate=validate))
+                    ports.append(KernelWritePort(pspec, q, validate=validate))
                     q.producer_names.append(mb.name)
                     if not isinstance(q, (FusedLink, SinkStore)):
                         outs.append(q)
@@ -446,10 +319,12 @@ class RuntimeContext:
         """Attach data sources and sinks, positionally: all graph inputs
         first, then all graph outputs."""
         g = self.graph
+        validate, batch_io = self.spec.validate, self.spec.batch_io
         check_io(g, io)
         if self._io_bound:
             raise IoBindingError("I/O already bound for this run")
         self._io_bound = True
+        self._sink_containers = list(io[len(g.inputs):])
 
         for gio, container in zip(g.inputs, io[:len(g.inputs)]):
             net = g.net(gio.net_id)
@@ -457,18 +332,18 @@ class RuntimeContext:
             if net.settings.runtime_parameter:
                 value = container.value if isinstance(container, RuntimeParam) \
                     else container
-                if self.validate:
+                if validate:
                     value = net.dtype.validate(value)
                 q.try_put(value)  # latch; always succeeds
             elif isinstance(q, SourceFeed):
                 # Net owned exclusively by a fused chain: the driver pulls
                 # elements straight from the container, no source task.
-                q.bind(net.dtype, container, self.validate,
-                       self.batch_io or self.capacity)
+                q.bind(net.dtype, container, validate,
+                       batch_io or self.spec.capacity)
                 q.producer_names.append(f"source[{gio.io_index}]")
             else:
-                coro = make_source(q, net.dtype, container, self.validate,
-                                   batch=self.batch_io)
+                coro = make_source(q, net.dtype, container, validate,
+                                   batch=batch_io)
                 self._sources.append((gio.io_index, coro))
                 q.producer_names.append(f"source[{gio.io_index}]")
                 self._task_outputs[f"source[{gio.io_index}]"] = [q]
@@ -489,7 +364,7 @@ class RuntimeContext:
             else:
                 cidx = self._alloc_consumer(gio.net_id)
                 coro, cursor = make_sink(q, cidx, net.dtype, container,
-                                         batch=self.batch_io)
+                                         batch=batch_io)
                 q.consumer_names.append(f"sink[{gio.io_index}]")
                 self._task_inputs[f"sink[{gio.io_index}]"] = [(q, cidx)]
                 self._sinks.append((gio.io_index, coro))
@@ -549,19 +424,15 @@ class RuntimeContext:
 
     # -- execution (§3.8) ---------------------------------------------------------------
 
-    def run(self, profile: bool = False, max_steps: Optional[int] = None,
-            strict: bool = False, profiler: Any = None) -> RunReport:
+    def run(self) -> RunResult:
         """Execute the graph until no coroutine can continue.
 
-        ``strict=True`` raises :class:`DeadlockError` if the run ends
+        ``spec.strict`` raises :class:`DeadlockError` if the run ends
         with kernels blocked on *writes* (a stall, as opposed to the
-        normal end-of-input state where kernels block on reads).
-
-        ``profiler`` is an optional
-        :class:`~repro.observe.profile.SamplingProfiler`; it samples the
-        scheduler thread's stack for the duration of the run, with
-        samples attributed to the current task (fused-driver members
-        resolve to the member being stepped).
+        normal end-of-input state where kernels block on reads).  A
+        stack sampler in ``spec.profile`` samples the scheduler thread
+        for the duration of the run, attributed to the current task
+        (fused-driver members resolve to the member being stepped).
         """
         if not self._io_bound:
             if self.graph.inputs or self.graph.outputs:
@@ -569,14 +440,17 @@ class RuntimeContext:
                     "bind_io() must be called before run() on a graph "
                     "with global I/O"
                 )
-        tracer = self.tracer
+        spec = self.spec
+        label = spec.backend
+        tracer = spec.observe
+        profiler = spec.profiler
         session = self.fault_session
         if session is not None:
             session.attach_tracer(tracer)
-        hook = _ContainmentHook(self) if self.on_error != "fail" else None
+        hook = _ContainmentHook(self) if spec.on_error != "fail" else None
         # Stack sampling needs the scheduler to publish its current
         # task, which the measured path does.
-        profile = profile or profiler is not None
+        profile = bool(spec.profile)
         sched = CooperativeScheduler(profile=profile, tracer=tracer,
                                      failure_hook=hook)
         if hook is not None:
@@ -604,7 +478,7 @@ class RuntimeContext:
             sched.spawn(f"sink[{idx}]", coro, kind="sink")
 
         ckpt_session = None
-        ckpt_policy = self.checkpoint_policy
+        ckpt_policy = spec.checkpoint
         if ckpt_policy is not None:
             from ..checkpoint.capture import CheckpointSession
             from ..checkpoint.format import graph_digest
@@ -615,7 +489,7 @@ class RuntimeContext:
                 graph_digest=graph_digest(self.graph),
                 state_fn=self.checkpoint_state,
                 items_fn=self._count_items_out,
-                backend=self.backend_label,
+                backend=label,
                 run_id=ckpt_policy.run_id,
                 options=ckpt_policy.options,
                 tracer=tracer,
@@ -626,8 +500,8 @@ class RuntimeContext:
                 sched.step_hook = step_hook
 
         if tracer is not None:
-            tracer.run_begin(self.graph.name, self.backend_label)
-        watchdog = self.watchdog
+            tracer.run_begin(self.graph.name, label)
+        watchdog = spec.watchdog
         if watchdog is not None:
             queues = list(self.queues.values())
             tasks = sched.tasks
@@ -651,7 +525,7 @@ class RuntimeContext:
 
             profiler.start(scheduler_label_fn(sched))
         try:
-            stats = sched.run(max_steps=max_steps)
+            stats = sched.run(max_steps=spec.max_steps)
             # Snapshot the wait diagnosis *before* teardown: close()
             # cancels every parked task, which would erase who was
             # blocked on what.
@@ -691,9 +565,7 @@ class RuntimeContext:
                 # Emitted on aborts too, so crashed runs still export:
                 # the run.end marker closes the trace and owned sinks
                 # are flushed to disk before the exception propagates.
-                tracer.run_end(self.graph.name, self.backend_label)
-                if self.owns_tracer:
-                    tracer.close()
+                tracer.run_end(self.graph.name, label)
             if sched.teardown_errors:
                 # A kernel intercepting GeneratorExit during teardown
                 # must not mask the primary exception; ride the list on
@@ -770,29 +642,34 @@ class RuntimeContext:
             elif failure is None and not deadlocked:
                 ckpt_session.capture_at_end()
 
-        report = RunReport(
+        result = RunResult(
+            backend=label,
             graph_name=self.graph.name,
-            stats=stats,
-            completed=not deadlocked and failure is None,
-            deadlocked=deadlocked,
+            outputs=self._sink_containers,
+            wall_time=stats.wall_time,
             items_in=items_in,
             items_out=items_out,
+            completed=not deadlocked and failure is None,
+            context_switches=stats.context_switches,
+            kernel_fraction=kernel_fraction(
+                sum(stats.task_cpu_time.values()), stats.wall_time,
+                stats.profiled),
             task_states=dict(stats.task_states),
+            per_kernel_resumes=dict(stats.task_resumes),
+            per_kernel_time=dict(stats.task_cpu_time),
+            per_kernel_blocked=dict(stats.task_blocked_time),
             stall_diagnosis=diagnosis,
             failure=failure,
             deadlock=deadlock_report,
             checkpoint=ckpt_session.info()
             if ckpt_session is not None else None,
+            warnings=watchdog.warnings() if watchdog is not None else [],
+            raw=stats,
         )
-        if watchdog is not None and watchdog.stalls:
-            report.warnings.append(
-                f"watchdog: {len(watchdog.stalls)} no-progress "
-                f"window(s) of >= {watchdog.window_s:g}s during the run"
-            )
-        if strict and deadlocked:
-            raise DeadlockError(diagnosis or "graph stalled", report=report,
+        if spec.strict and deadlocked:
+            raise DeadlockError(diagnosis or "graph stalled", report=result,
                                 deadlock=deadlock_report)
-        return report
+        return result
 
 
 class _ContainmentHook:
@@ -811,7 +688,7 @@ class _ContainmentHook:
 
     def __init__(self, ctx: "RuntimeContext"):
         self.ctx = ctx
-        self.policy = ctx.on_error
+        self.policy = ctx.spec.on_error
         self.sched: Optional[CooperativeScheduler] = None
         self.failures: List[TaskFailure] = []
         self.cancelled: Set[str] = set()   # exact dependent cone (+ sinks)

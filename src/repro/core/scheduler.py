@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import DeadlockError, GraphRuntimeError, PoisonSignal
 from ..faults.waitfor import Waiter, analyze_waiters
+from .result import kernel_fraction
 
 __all__ = [
     "TaskState",
@@ -112,16 +113,10 @@ class SchedulerStats:
 
     @property
     def kernel_fraction(self) -> float:
-        """Fraction of profiled wall time spent inside task code — the
-        §5.2 metric (cgsim: 99.94% for bitonic).
-
-        NaN unless the run was profiled *and* wall time is strictly
-        positive (an unprofiled run has ``kernel_time == 0`` even when
-        wall time is nonzero, which would otherwise read as 0% kernel).
-        """
-        if not self.profiled or not self.wall_time > 0.0:
-            return float("nan")
-        return min(self.kernel_time / self.wall_time, 1.0)
+        """Fraction of profiled wall time spent inside task code (see
+        :func:`repro.core.result.kernel_fraction`)."""
+        return kernel_fraction(self.kernel_time, self.wall_time,
+                               self.profiled)
 
 
 class CooperativeScheduler:
@@ -272,6 +267,8 @@ class CooperativeScheduler:
                 else:
                     cmd = task.coro.send(None)
             except StopIteration:
+                if profile:  # the final slice is task time too
+                    task.cpu_time += perf_counter() - t0
                 task.state = TaskState.FINISHED
                 if tracer is not None:
                     tracer.task_finish(task.name)

@@ -214,7 +214,8 @@ class SerializedGraph:
         Matches the C++ API where the serialized graph object's function
         call operator instantiates and executes the graph (§3.6); the
         options are the compiled graph's call operator's, ``optimize``
-        included.
+        included, and so is the returned
+        :class:`~repro.core.result.RunResult`.
         """
         from ..exec.backends import call_graph
 

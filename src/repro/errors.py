@@ -71,11 +71,12 @@ class GraphRuntimeError(CgsimError):
 class DeadlockError(GraphRuntimeError):
     """No coroutine can continue but unconsumed work remains.
 
-    Raised (optionally — see ``RuntimeContext.run(strict=...)``) when the
+    Raised (optionally — see the ``strict`` run option) when the
     scheduler stops with kernels blocked on *writes*, which indicates the
     graph stalled rather than ran out of input.
 
-    ``report`` carries the engine-native run report when one exists;
+    ``report`` carries the run's :class:`~repro.core.result.RunResult`
+    when one exists;
     ``deadlock`` carries the structured wait-for-graph analysis
     (:class:`repro.faults.DeadlockReport`) naming the exact cycle.
     """

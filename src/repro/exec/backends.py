@@ -1,9 +1,10 @@
 """The three built-in execution backends behind :func:`repro.exec.run_graph`.
 
 Each adapter owns *all* engine wiring for its target — callers never
-touch :class:`RuntimeContext`, :func:`run_threaded`, or the generated
-module's serialization glue directly.  The adapters normalise every
-engine-native report into :class:`~repro.exec.api.RunResult`.
+touch :class:`RuntimeContext`, :func:`prepare_threads`, or the generated
+module's serialization glue directly.  Every engine takes the bound
+:class:`~repro.exec.spec.RunSpec` and returns the
+:class:`~repro.core.result.RunResult` itself.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .api import (
     ExecutionBackend,
     ExecutionPlan,
     RunResult,
+    get_backend,
     register_backend,
     resolve_graph,
 )
@@ -22,18 +24,12 @@ from .spec import RunSpec
 __all__ = ["CgsimBackend", "X86simBackend", "PysimBackend", "call_graph"]
 
 
-def _split_io(graph, io: Tuple[Any, ...]):
-    """Sink containers are the positional tail after all sources."""
-    return list(io[len(graph.inputs):])
-
-
-def call_graph(graph: Any, io: Tuple[Any, ...],
-               options: Dict[str, Any]):
-    """The graph call operators (§3.6): one cgsim run of *graph*, its
-    options bound exactly as :meth:`CgsimBackend.prepare` binds them.
-    Returns the engine's :class:`~repro.core.runtime.RunReport`."""
-    backend = CgsimBackend()
-    return backend.run(backend.prepare(graph, io, **options)).raw
+def call_graph(graph: Any, io: Tuple[Any, ...], options: Dict[str, Any],
+               backend: str = "cgsim") -> RunResult:
+    """The graph call operators (§3.6): one run of *graph* on *backend*,
+    its options bound as :meth:`ExecutionBackend.prepare` binds them."""
+    b = get_backend(backend)
+    return b.run(b.prepare(graph, io, **options))
 
 
 @register_backend
@@ -55,50 +51,16 @@ class CgsimBackend(ExecutionBackend):
 
         g = self._instantiate(graph)
         level = spec.optimize or "none"   # None where optimize is ignored
-        rt = RuntimeContext(
-            g, capacity=spec.capacity, validate=spec.validate,
-            batch_io=spec.batch_io, observe=spec.observe,
-            optimize_plan=get_plan(graph, g, level)
-            if level != "none" else None,
-            faults=spec.faults, on_error=spec.on_error,
-            transport=spec.transport, watchdog=spec.watchdog,
-            checkpoint=spec.checkpoint)
-        rt.owns_tracer = spec.owns_tracer
-        rt.backend_label = self.name
+        rt = RuntimeContext(g, spec, optimize_plan=get_plan(graph, g, level)
+                            if level != "none" else None)
         if io or g.inputs or g.outputs:
             rt.bind_io(*io)
         return ExecutionPlan(backend=self.name, graph=g, io=io,
                              state=rt, spec=spec)
 
-    def run(self, plan: ExecutionPlan, *, profile: bool = False) -> RunResult:
-        self._claim(plan)
-        spec = plan.spec
-        report = plan.state.run(
-            profile=profile or bool(spec.profile),
-            max_steps=spec.max_steps, strict=spec.strict,
-            profiler=spec.profiler)
-        stats = report.stats
-        return RunResult(
-            backend=self.name,
-            graph_name=report.graph_name,
-            outputs=_split_io(plan.graph, plan.io),
-            wall_time=report.wall_time,
-            items_in=report.items_in,
-            items_out=report.items_out,
-            completed=report.completed,
-            context_switches=report.context_switches,
-            n_threads=1,
-            kernel_fraction=report.kernel_fraction,
-            task_states=dict(report.task_states),
-            per_kernel_resumes=dict(stats.task_resumes),
-            per_kernel_time=dict(stats.task_cpu_time),
-            per_kernel_blocked=dict(stats.task_blocked_time),
-            stall_diagnosis=report.stall_diagnosis,
-            failure=report.failure,
-            deadlock=report.deadlock,
-            checkpoint=report.checkpoint,
-            raw=report,
-        )
+    def execute(self, plan: ExecutionPlan) -> RunResult:
+        plan.state.spec = plan.spec   # run(profile=True) may replace it
+        return plan.state.run()
 
 
 @register_backend
@@ -139,32 +101,10 @@ class X86simBackend(ExecutionBackend):
         from ..x86sim.runner import prepare_threads
 
         g = resolve_graph(graph)
-        state = prepare_threads(g, io, capacity=spec.capacity,
-                                timeout=spec.timeout, observe=spec.observe,
-                                faults=spec.faults, on_error=spec.on_error,
-                                strict=spec.strict)
-        state.owns_tracer = spec.owns_tracer
-        return ExecutionPlan(backend=self.name, graph=g, io=io, state=state,
-                             spec=spec)
+        return ExecutionPlan(backend=self.name, graph=g, io=io,
+                             state=prepare_threads(g, io, spec), spec=spec)
 
-    def run(self, plan: ExecutionPlan, *, profile: bool = False) -> RunResult:
+    def execute(self, plan: ExecutionPlan) -> RunResult:
         from ..x86sim.runner import execute_plan
 
-        self._claim(plan)
-        report = execute_plan(plan.state)
-        return RunResult(
-            backend=self.name,
-            graph_name=report.graph_name,
-            outputs=_split_io(plan.graph, plan.io),
-            wall_time=report.wall_time,
-            items_in=report.items_in,
-            items_out=report.items_out,
-            completed=report.completed,
-            context_switches=0,
-            n_threads=report.n_threads,
-            task_states=dict(report.task_states),
-            stall_diagnosis=report.stall_diagnosis,
-            failure=report.failure,
-            deadlock=report.deadlock,
-            raw=report,
-        )
+        return execute_plan(plan.state)

@@ -25,14 +25,14 @@ Layers
     (``backend="cgsim-mp"``).
 """
 
-from .manager import MpRunReport, WorkerCrashError, run_sharded
+from .manager import ShardRun, WorkerCrashError, run_sharded
 from .placement import Placement, place_graph
 from .shm_ring import ShmRing
 
 __all__ = [
     "CgsimMpBackend",
-    "MpRunReport",
     "Placement",
+    "ShardRun",
     "ShmRing",
     "WorkerCrashError",
     "place_graph",

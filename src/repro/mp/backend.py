@@ -27,11 +27,6 @@ from .manager import run_sharded
 
 __all__ = ["CgsimMpBackend"]
 
-#: Spec fields handed to :func:`run_sharded` under their own names.
-_FORWARDED = ("workers", "capacity", "validate", "observe", "stall_timeout",
-              "ring_capacity", "ring_bytes", "on_error", "run_id",
-              "watchdog", "checkpoint")
-
 
 @register_backend
 class CgsimMpBackend(ExecutionBackend):
@@ -39,7 +34,7 @@ class CgsimMpBackend(ExecutionBackend):
 
     Its run options are the ``cgsim-mp`` column of
     :mod:`repro.exec.spec`; ``checkpoint`` capture is manager-side (see
-    :func:`repro.mp.manager.run_sharded`).
+    :func:`repro.mp.manager.run_sharded`, which returns the result).
     """
 
     name = "cgsim-mp"
@@ -53,38 +48,5 @@ class CgsimMpBackend(ExecutionBackend):
         check_io(g, io)
         return ExecutionPlan(backend=self.name, graph=g, io=io, spec=spec)
 
-    def run(self, plan: ExecutionPlan, *, profile: bool = False) -> RunResult:
-        self._claim(plan)
-        spec = plan.spec
-        sampler = spec.profiler
-        try:
-            report = run_sharded(
-                plan.graph, plan.io, batch=spec.batch_io,
-                profile=profile or bool(spec.profile),
-                profile_sample=0.0 if sampler is None else sampler.interval,
-                backend_label=self.name,
-                **{k: getattr(spec, k) for k in _FORWARDED})
-        finally:
-            if spec.owns_tracer:
-                spec.observe.close()
-        return RunResult(
-            backend=self.name,
-            graph_name=report.graph_name,
-            outputs=list(plan.io[len(plan.graph.inputs):]),
-            wall_time=report.wall_time,
-            items_in=report.items_in,
-            items_out=report.items_out,
-            completed=report.completed,
-            context_switches=report.context_switches,
-            n_threads=report.n_workers,
-            task_states=dict(report.task_states),
-            per_kernel_resumes=dict(report.task_resumes),
-            per_kernel_time=dict(report.task_cpu),
-            per_kernel_blocked=dict(report.task_blocked),
-            stall_diagnosis=report.stall_diagnosis,
-            failure=report.failure,
-            run_id=report.run_id,
-            profile=report.profile,
-            checkpoint=report.checkpoint,
-            raw=report,
-        )
+    def execute(self, plan: ExecutionPlan) -> RunResult:
+        return run_sharded(plan.graph, plan.io, plan.spec)

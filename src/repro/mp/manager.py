@@ -34,20 +34,22 @@
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
-from ..core.queues import DEFAULT_QUEUE_CAPACITY
+from ..core.result import RunResult, kernel_fraction
 from ..core.sources_sinks import RuntimeParam, check_io, sink_store
 from ..errors import GraphRuntimeError
 from ..faults.cone import dependent_cone, failure_report
 from ..faults.report import FailureReport, TaskFailure
 from .placement import Placement, place_graph
-from .shm_ring import DEFAULT_RING_BYTES, ShmRing
+from .shm_ring import ShmRing
 from .worker import WorkerSpec, worker_main
 
-__all__ = ["MpRunReport", "WorkerCrashError", "RemoteKernelError",
+if TYPE_CHECKING:
+    from ..exec.spec import RunSpec
+
+__all__ = ["ShardRun", "WorkerCrashError", "RemoteKernelError",
            "run_sharded"]
 
 #: Items buffered per inter-worker ring (transport capacity; the byte
@@ -81,47 +83,16 @@ class RemoteKernelError(GraphRuntimeError):
         super().__init__(f"{error_type}: {error_msg}")
 
 
-@dataclass
-class MpRunReport:
-    """Outcome of one sharded execution (manager-side aggregate)."""
+class ShardRun(NamedTuple):
+    """``RunResult.raw`` of a cgsim-mp run: the detail with no
+    backend-independent field."""
 
-    graph_name: str
     placement: Placement
-    completed: bool
-    deadlocked: bool
-    wall_time: float
-    items_in: int
-    items_out: int
-    context_switches: int
-    n_workers: int
-    task_states: Dict[str, str] = field(default_factory=dict)
-    task_resumes: Dict[str, int] = field(default_factory=dict)
-    task_cpu: Dict[str, float] = field(default_factory=dict)
-    task_blocked: Dict[str, float] = field(default_factory=dict)
-    worker_walls: Dict[int, float] = field(default_factory=dict)
-    stall_diagnosis: str = ""
-    failure: Optional[FailureReport] = None
-    run_id: str = ""
-    #: Merged :class:`~repro.observe.profile.ProfileReport` when the
-    #: workers ran with a sampling profiler, else ``None``.
-    profile: Any = None
-    #: :class:`~repro.checkpoint.CheckpointInfo` when the manager
-    #: captured a checkpoint (worker death / on-fault / at-end).
-    checkpoint: Any = None
-
-    def __repr__(self):
-        status = "ok" if self.completed else (
-            "FAILED" if self.failure is not None else "stalled"
-        )
-        return (
-            f"<MpRunReport {self.graph_name!r} {status} "
-            f"workers={self.n_workers} in={self.items_in} "
-            f"out={self.items_out}>"
-        )
+    worker_walls: Dict[int, float]      # worker id -> its own wall time
 
 
-def _merge_outputs(graph, placement: Placement, io, results,
-                   validate: bool = False) -> Tuple[int, Dict[int, int]]:
+def _merge_outputs(graph, placement: Placement, io,
+                   results) -> Tuple[int, Dict[int, int]]:
     """Copy worker sink payloads / RTP values into the caller's
     containers (already vetted by ``check_io`` before the fork);
     returns total items delivered plus the per-sink delivered counts
@@ -291,59 +262,39 @@ def _release_downstream(rings: Dict[Tuple[int, int, int], ShmRing],
                 pass
 
 
-def run_sharded(graph, io: Tuple[Any, ...], *,
-                workers: int = 2,
-                capacity: int = DEFAULT_QUEUE_CAPACITY,
-                validate: bool = False,
-                batch: Optional[int] = None,
-                observe: Any = None,
-                profile: bool = False,
-                stall_timeout: float = 30.0,
-                ring_capacity: int = DEFAULT_RING_CAPACITY,
-                ring_bytes: int = DEFAULT_RING_BYTES,
-                on_error: str = "fail",
-                backend_label: str = "cgsim-mp",
-                run_id: str = "",
-                watchdog: Any = None,
-                profile_sample: float = 0.0,
-                checkpoint: Any = None) -> MpRunReport:
-    """Execute *graph* sharded across *workers* OS processes.
+def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
+    """Execute *graph* sharded across ``spec.workers`` OS processes.
 
     ``io`` is the usual positional tuple (sources then sinks, §3.7);
-    ``observe`` is a ready :class:`~repro.observe.Tracer` or ``None``.
+    every option is read from *spec*, a
+    :class:`~repro.exec.spec.RunSpec` bound for ``"cgsim-mp"``.
     ``on_error="fail"`` raises on worker loss / remote kernel failure;
-    ``"isolate"`` returns the report with a contained
+    ``"isolate"`` returns the result with a contained
     :class:`~repro.faults.FailureReport` instead.
 
     ``run_id`` (defaulting to the tracer's context when set) is the
-    cross-process correlation id every worker stamps on its events;
-    ``watchdog`` is a no-progress window in seconds or a ready
-    :class:`~repro.observe.health.ProgressWatchdog` — the manager polls
-    the shared-memory ring header counters plus worker-report arrivals,
-    so a wedged farm surfaces a ``health.stall`` event instead of
-    silence; ``profile_sample`` > 0 starts an in-process sampling
-    profiler in every worker at that interval (merged report on
-    ``MpRunReport.profile``).
+    cross-process correlation id every worker stamps on its events.  The
+    ``watchdog`` polls the shared-memory ring header counters plus
+    worker-report arrivals, so a wedged farm surfaces a ``health.stall``
+    event instead of silence.  A stack sampler in ``profile`` runs in
+    every worker at its interval (merged report on ``result.profile``).
 
-    ``checkpoint`` (a :class:`~repro.checkpoint.CheckpointPolicy`)
-    enables manager-side capture of the merged surviving state: on
-    worker death, on a contained remote failure, on a farm stall, and
-    (``at_end=True``) after a clean run.  Interval and explicit
-    triggers are a single-scheduler concept and are ignored here — the
-    run state lives inside forked workers with no shared quiescent
-    point.  The checkpoint path rides on
+    ``checkpoint`` enables manager-side capture of the merged surviving
+    state: on worker death, on a contained remote failure, on a farm
+    stall, and (``at_end=True``) after a clean run.  Interval and
+    explicit triggers are a single-scheduler concept and are ignored
+    here — the run state lives inside forked workers with no shared
+    quiescent point.  The checkpoint path rides on
     ``FailureReport.checkpoint_path``, the raised exception's
-    ``checkpoint_path`` attribute, and ``MpRunReport.checkpoint``, so
+    ``checkpoint_path`` attribute, and ``result.checkpoint``, so
     ``run_graph``'s retry-resume loop re-places the lost shard's work
     onto fresh processes and completes from the recorded prefix.
     """
-    from ..exec.spec import check_option
-
-    on_error = check_option("cgsim-mp", "on_error", on_error)
     check_io(graph, io)
-    placement = place_graph(graph, workers)
+    placement = place_graph(graph, spec.workers)
     n_workers = placement.n_workers
-    tracer = observe
+    tracer, run_id, checkpoint = spec.observe, spec.run_id, spec.checkpoint
+    backend_label = spec.backend
     labels = None
     if tracer is not None:
         if not run_id:
@@ -352,7 +303,7 @@ def run_sharded(graph, io: Tuple[Any, ...], *,
             tracer.set_context(run_id=run_id)  # fills only if unset
         labels = getattr(tracer, "labels", None)
 
-    dog = check_option("cgsim-mp", "watchdog", watchdog)
+    dog = spec.watchdog
 
     t0 = perf_counter()
     if tracer is not None:
@@ -376,24 +327,17 @@ def run_sharded(graph, io: Tuple[Any, ...], *,
                     f"(src must be < dst); placement bug"
                 )
             rings[key] = ShmRing.create(
-                capacity=ring_capacity,
+                capacity=spec.ring_capacity,
                 name=f"{graph.net(net_id).name}@w{src}->w{dst}",
-                data_bytes=ring_bytes,
+                data_bytes=spec.ring_bytes,
             )
 
         for wid in range(n_workers):
-            spec = WorkerSpec(
-                wid=wid, placement=placement, io=io, rings=rings,
-                capacity=capacity, validate=validate, batch=batch,
-                observe=tracer is not None,
-                queue_events=tracer.queue_events if tracer is not None
-                else True,
-                profile=profile, stall_timeout=stall_timeout,
-                run_id=run_id, labels=labels,
-                profile_sample=profile_sample,
-            )
+            wspec = WorkerSpec(wid=wid, placement=placement, io=io,
+                               rings=rings, run=spec, run_id=run_id,
+                               labels=labels)
             parent_conn, child_conn = ctx.Pipe(duplex=False)
-            p = ctx.Process(target=worker_main, args=(spec, child_conn),
+            p = ctx.Process(target=worker_main, args=(wspec, child_conn),
                             daemon=True, name=f"cgsim-mp-w{wid}")
             p.start()
             child_conn.close()
@@ -483,7 +427,7 @@ def run_sharded(graph, io: Tuple[Any, ...], *,
         # Merge whatever arrived even after a failure: surviving
         # workers' sinks hold a valid prefix (isolate semantics).
         items_out, sink_counts = _merge_outputs(graph, placement, io,
-                                                results, validate=validate)
+                                                results)
         _merge_events(tracer, results)
         if tracer is not None:
             tracer.run_end(graph.name, backend_label)
@@ -524,7 +468,7 @@ def run_sharded(graph, io: Tuple[Any, ...], *,
                     if failure_report is not None:
                         failure_report.checkpoint_path = path
 
-        if failure_report is not None and on_error == "fail":
+        if failure_report is not None and spec.on_error == "fail":
             assert failure_exc is not None
             failure_exc.report = failure_report  # type: ignore[union-attr]
             if ckpt_info is not None:
@@ -540,32 +484,37 @@ def run_sharded(graph, io: Tuple[Any, ...], *,
             task_resumes.update(msg.get("task_resumes", {}))
             task_cpu.update(msg.get("task_cpu", {}))
             task_blocked.update(msg.get("task_blocked", {}))
+        worker_walls = {w: m.get("wall_time", 0.0)
+                        for w, m in results.items()}
 
         deadlocked = bool(stall_lines) and failure_report is None
-        return MpRunReport(
+        return RunResult(
+            backend=backend_label,
             graph_name=graph.name,
-            placement=placement,
-            completed=not deadlocked and failure_report is None
-            and len(results) == n_workers,
-            deadlocked=deadlocked,
+            outputs=list(io[len(graph.inputs):]),
             wall_time=wall,
             items_in=sum(m.get("items_in", 0) for m in results.values()),
             items_out=items_out,
+            completed=not deadlocked and failure_report is None
+            and len(results) == n_workers,
+            run_id=run_id,
             context_switches=sum(
                 m.get("context_switches", 0) for m in results.values()
             ),
-            n_workers=n_workers,
+            n_threads=n_workers,
+            kernel_fraction=kernel_fraction(
+                sum(task_cpu.values()), sum(worker_walls.values()),
+                bool(spec.profile)),
             task_states=task_states,
-            task_resumes=task_resumes,
-            task_cpu=task_cpu,
-            task_blocked=task_blocked,
-            worker_walls={w: m.get("wall_time", 0.0)
-                          for w, m in results.items()},
+            per_kernel_resumes=task_resumes,
+            per_kernel_time=task_cpu,
+            per_kernel_blocked=task_blocked,
             stall_diagnosis="\n".join(stall_lines),
             failure=failure_report,
-            run_id=run_id,
             profile=profile_report,
             checkpoint=ckpt_info,
+            warnings=dog.warnings() if dog is not None else [],
+            raw=ShardRun(placement, worker_walls),
         )
     finally:
         if dog is not None:

@@ -36,15 +36,18 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.ports import KernelReadPort, KernelWritePort
-from ..core.queues import DEFAULT_QUEUE_CAPACITY, BroadcastQueue, LatchQueue
+from ..core.queues import BroadcastQueue, LatchQueue
 from ..core.scheduler import CooperativeScheduler, TaskState
 from ..core.sources_sinks import RuntimeParam, make_sink, make_source
 from ..errors import GraphRuntimeError
+
+if TYPE_CHECKING:
+    from ..exec.spec import RunSpec
 
 __all__ = ["WorkerSpec", "ShardRuntime", "worker_main", "PUMP_BATCH"]
 
@@ -62,20 +65,12 @@ class WorkerSpec:
     wid: int
     placement: Any                                  # mp.placement.Placement
     io: Tuple[Any, ...]                             # caller's sources + sinks
-    rings: Dict[Tuple[int, int, int], Any] = field(default_factory=dict)
-    capacity: int = DEFAULT_QUEUE_CAPACITY
-    validate: bool = False
-    batch: Optional[int] = None
-    observe: bool = False
-    queue_events: bool = True
-    profile: bool = False
-    stall_timeout: float = 30.0
+    rings: Dict[Tuple[int, int, int], Any]
+    run: "RunSpec"                                  # the bound run options
     #: Trace-context correlation id stamped on every event this worker
     #: emits (schema v2); empty = no correlation context.
     run_id: str = ""
     labels: Optional[Dict[str, str]] = None
-    #: Sampling-profiler interval in seconds; 0 = sampler off.
-    profile_sample: float = 0.0
 
 
 class _Import:
@@ -136,14 +131,15 @@ class ShardRuntime:
         self.wid = spec.wid
         local = set(pl.shards[spec.wid])
 
+        run = spec.run
         self.tracer = None
-        if spec.observe:
+        if run.observe is not None:
             from ..observe import RingSink, Tracer
 
             # Workers retain events unbounded and ship them whole; the
             # manager's caller-facing sink applies any bounding policy.
             self.tracer = Tracer(RingSink(maxlen=None),
-                                 queue_events=spec.queue_events,
+                                 queue_events=run.observe.queue_events,
                                  metrics=False,
                                  run_id=spec.run_id,
                                  labels=spec.labels)
@@ -182,7 +178,7 @@ class ShardRuntime:
                         continue
                     c = spec.io[gio.io_index]
                     value = c.value if isinstance(c, RuntimeParam) else c
-                    if spec.validate:
+                    if run.validate:
                         value = net.dtype.validate(value)
                     q.try_put(value)
                 for gio in rtp_outs:
@@ -216,7 +212,7 @@ class ShardRuntime:
             if depth is None:
                 attr_depth = net.attrs.get("depth")
                 depth = int(attr_depth) if attr_depth is not None \
-                    else spec.capacity
+                    else run.capacity
             # n_consumers may legitimately be 0 (an input net nothing
             # consumes); a phantom cursor would count as undrained data.
             q = BroadcastQueue(capacity=depth, n_consumers=n_consumers,
@@ -228,8 +224,8 @@ class ShardRuntime:
                 self.imports.append(_Import(inbound, q))
             for gio in sources_here:
                 container = spec.io[gio.io_index]
-                coro = make_source(q, net.dtype, container, spec.validate,
-                                   batch=spec.batch)
+                coro = make_source(q, net.dtype, container, run.validate,
+                                   batch=run.batch_io)
                 q.producer_names.append(f"source[{gio.io_index}]")
                 self._sources.append((gio.io_index, coro))
                 self._input_net_ids.append(net.net_id)
@@ -253,7 +249,7 @@ class ShardRuntime:
                     q.consumer_names.append(name)
                 else:
                     ports.append(KernelWritePort(pspec, q,
-                                                 validate=spec.validate))
+                                                 validate=run.validate))
                     q.producer_names.append(name)
             self._kernel_coros.append((name, inst.kernel.instantiate(ports)))
 
@@ -264,7 +260,7 @@ class ShardRuntime:
             cidx = self._alloc_consumer(net.net_id)
             store: List[Any] = []
             coro, _cursor = make_sink(q, cidx, net.dtype, store,
-                                      batch=spec.batch)
+                                      batch=run.batch_io)
             q.consumer_names.append(f"sink[{gio.io_index}]")
             self._sinks.append((gio.io_index, coro, store))
 
@@ -393,12 +389,12 @@ class ShardRuntime:
 
     def run(self) -> Dict[str, Any]:
         spec = self.spec
+        stall_timeout = spec.run.stall_timeout
         t0 = perf_counter()
-        # The sampler attributes via sched._current, which the scheduler
-        # only publishes in measure mode — force it on when sampling.
-        sched = CooperativeScheduler(
-            profile=spec.profile or spec.profile_sample > 0,
-            tracer=self.tracer)
+        # A sampler (a truthy profile) attributes via sched._current,
+        # which the scheduler only publishes in measure mode.
+        sched = CooperativeScheduler(profile=bool(spec.run.profile),
+                                     tracer=self.tracer)
         for q in self.queues.values():
             q.bind_scheduler(sched)
             if self.tracer is not None and self.tracer.queue_events:
@@ -414,10 +410,10 @@ class ShardRuntime:
             sched.spawn(f"sink[{i}]", coro, kind="sink")
 
         profiler = None
-        if spec.profile_sample > 0:
+        if spec.run.profiler is not None:
             from ..observe.profile import SamplingProfiler, scheduler_label_fn
 
-            profiler = SamplingProfiler(interval=spec.profile_sample)
+            profiler = SamplingProfiler(interval=spec.run.profiler.interval)
             profiler.start(scheduler_label_fn(sched))
 
         total_switches = 0
@@ -441,10 +437,10 @@ class ShardRuntime:
                 if status == "stalled":
                     stall = self._stall_diagnosis(sched)
                     break
-                if perf_counter() - last_progress > spec.stall_timeout:
+                if perf_counter() - last_progress > stall_timeout:
                     stall = (
                         f"worker[{self.wid}] made no progress for "
-                        f"{spec.stall_timeout:.1f}s (waiting on peers):\n"
+                        f"{stall_timeout:.1f}s (waiting on peers):\n"
                         + self._stall_diagnosis(sched)
                     )
                     break

@@ -171,6 +171,12 @@ class ProgressWatchdog:
     def stalled(self) -> bool:
         return bool(self.stalls)
 
+    def warnings(self) -> List[str]:
+        """The run warning for the stalls seen so far, if any (what
+        ``RunResult.warnings`` carries)."""
+        return [f"watchdog: {len(self.stalls)} no-progress window(s) of "
+                f">= {self.window_s:g}s during the run"] if self.stalls else []
+
     def notify(self) -> None:
         """Event-driven heartbeat for callers without a pollable
         counter (folded into the progress snapshot)."""

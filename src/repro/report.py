@@ -9,9 +9,10 @@ examples and handy in notebooks/CI logs.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence
 
-from .core import CompiledGraph, RunReport, check_graph, realm_summary
+from .core import CompiledGraph, RunResult, check_graph, realm_summary
 from .core.dtypes import WindowType
 
 __all__ = [
@@ -89,8 +90,8 @@ def graph_report(compiled: CompiledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_report_md(report: RunReport) -> str:
-    """Markdown rendering of a cgsim execution report."""
+def run_report_md(report: RunResult) -> str:
+    """Markdown rendering of one run's result, on any backend."""
     status = "completed" if report.completed else (
         "**DEADLOCKED**" if report.deadlocked else "stalled"
     )
@@ -103,7 +104,7 @@ def run_report_md(report: RunReport) -> str:
               report.context_switches, f"{report.wall_time * 1e3:.2f} ms")],
         ),
     ]
-    if report.stats.profiled:
+    if not math.isnan(report.kernel_fraction):
         lines.append("")
         lines.append(
             f"Profiled: {report.kernel_fraction:.2%} of wall time inside "

@@ -9,7 +9,6 @@ thread-per-kernel x86sim) can be reproduced on identical kernel code.
 from .channels import ThreadedBroadcastQueue, ThreadedLatchQueue
 from .runner import (
     X86Plan,
-    X86RunReport,
     execute_plan,
     prepare_threads,
     run_threaded,
@@ -20,7 +19,6 @@ __all__ = [
     "prepare_threads",
     "execute_plan",
     "X86Plan",
-    "X86RunReport",
     "ThreadedBroadcastQueue",
     "ThreadedLatchQueue",
 ]

@@ -18,16 +18,15 @@ single-thread cgsim runtime on identical kernels:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.builder import CompiledGraph
 from ..core.graph import ComputeGraph
 from ..core.ports import KernelReadPort, KernelWritePort
-from ..core.queues import DEFAULT_QUEUE_CAPACITY
+from ..core.result import RunResult
 from ..core.sources_sinks import (
-    ArraySinkCursor,
     RuntimeParam,
     check_io,
     iter_stream_values,
@@ -44,39 +43,10 @@ from ..faults.report import FailureReport, TaskFailure
 from ..faults.waitfor import Waiter, analyze_waiters
 from .channels import ThreadedBroadcastQueue, ThreadedLatchQueue
 
-__all__ = ["X86RunReport", "X86Plan", "prepare_threads", "execute_plan",
-           "run_threaded"]
+if TYPE_CHECKING:
+    from ..exec.spec import RunSpec
 
-
-@dataclass
-class X86RunReport:
-    """Outcome of one thread-per-kernel execution."""
-
-    graph_name: str
-    wall_time: float
-    n_threads: int
-    items_in: int
-    items_out: int
-    thread_names: List[str] = field(default_factory=list)
-    completed: bool = True
-    task_states: Dict[str, str] = field(default_factory=dict)
-    stall_diagnosis: str = ""
-    #: :class:`repro.faults.FailureReport` for contained kernel failures
-    #: (``on_error="isolate"``/``"poison"``); ``None`` on clean runs.
-    failure: Any = None
-    #: :class:`repro.faults.DeadlockReport` when the run stalled.
-    deadlock: Any = None
-
-    def __repr__(self):
-        status = "" if self.completed else (
-            " FAILED" if self.failure is not None else " STALLED"
-        )
-        return (
-            f"<X86RunReport {self.graph_name!r}{status} "
-            f"threads={self.n_threads} "
-            f"in={self.items_in} out={self.items_out} "
-            f"t={self.wall_time:.3f}s>"
-        )
+__all__ = ["X86Plan", "prepare_threads", "execute_plan", "run_threaded"]
 
 
 def _snap_waiters(thread) -> Dict[str, Tuple[str, str]]:
@@ -326,52 +296,31 @@ class X86Plan:
     to their channels, not yet started.  Single-use."""
 
     graph: ComputeGraph
+    spec: "RunSpec"                 # the bound x86sim run options
+    outputs: List[Any]              # the caller's sink containers
     threads: List[threading.Thread]
     sinks: List["_SinkThread"]
-    sink_cursors: List[ArraySinkCursor]
     rtp_sinks: List[Tuple[ThreadedLatchQueue, RuntimeParam]]
     queues: Dict[int, Any]
-    timeout: Optional[float]
-    tracer: Any = None
-    owns_tracer: bool = False
     session: Any = None             # active repro.faults FaultSession
-    on_error: str = "fail"
-    strict: bool = True
 
 
 def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
-                    capacity: int = DEFAULT_QUEUE_CAPACITY,
-                    timeout: Optional[float] = 60.0,
-                    observe: Any = None, faults: Any = None,
-                    on_error: str = "fail",
-                    strict: bool = True) -> X86Plan:
+                    spec: "RunSpec") -> X86Plan:
     """Instantiate channels, kernel/source/sink threads for one run.
 
     The prepare/execute split mirrors the :mod:`repro.exec` backend
-    protocol; :func:`run_threaded` composes the two phases.  ``observe``
-    enables structured event tracing (anything
-    :func:`repro.observe.make_tracer` accepts); events use the tasks'
-    *logical* names (instance names, ``source[i]``, ``sink[i]``) so
-    x86sim traces line up with cgsim traces of the same graph.
-
-    ``faults`` injects a deterministic :class:`repro.faults.FaultPlan`
-    (kernel raises, stream corrupt/drop/freeze, source delays) into the
-    threaded execution; ``on_error`` selects the containment policy on
-    kernel failure (``"fail"`` raises as before, ``"isolate"`` /
-    ``"poison"`` return a :class:`~repro.faults.FailureReport` on the
-    run report); ``strict=False`` turns stall timeouts into a returned
-    report with wait-for-graph diagnosis instead of
-    :class:`~repro.errors.SimDeadlockError`.
+    protocol; every option is read from *spec*, a
+    :class:`~repro.exec.spec.RunSpec` bound for ``"x86sim"``.  Trace
+    events use the tasks' *logical* names (instance names,
+    ``source[i]``, ``sink[i]``) so x86sim traces line up with cgsim
+    traces of the same graph.
     """
     g = graph.graph if isinstance(graph, CompiledGraph) else graph
-    from ..exec.spec import check_option
-
-    on_error = check_option("x86sim", "on_error", on_error)
     check_io(g, io)
-    fault_plan = check_option("x86sim", "faults", faults)
-    session = fault_plan.session(g) if fault_plan is not None else None
-    tracer = check_option("x86sim", "observe", observe)
-    owns_tracer = tracer is not None and tracer is not observe
+    capacity, timeout, tracer = spec.capacity, spec.timeout, spec.observe
+    poison = spec.on_error == "poison"
+    session = spec.faults.session(g) if spec.faults is not None else None
     if session is not None:
         session.attach_tracer(tracer)
 
@@ -426,16 +375,16 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
         in_bindings: List[Tuple[Any, int]] = []
         out_queues: List[Any] = []
         for port_idx, net_id in enumerate(inst.port_nets):
-            spec = inst.kernel.port_specs[port_idx]
+            pspec = inst.kernel.port_specs[port_idx]
             q = queues[net_id]
-            if spec.is_input:
+            if pspec.is_input:
                 cidx = alloc_consumer(net_id)
-                ports.append(KernelReadPort(spec, q, cidx))
+                ports.append(KernelReadPort(pspec, q, cidx))
                 q.consumer_names.append(name)
                 if not isinstance(q, ThreadedLatchQueue):
                     in_bindings.append((q, cidx))
             else:
-                ports.append(KernelWritePort(spec, q))
+                ports.append(KernelWritePort(pspec, q))
                 q.producer_names.append(name)
                 out_queues.append(q)
         coro = inst.kernel.instantiate(ports)
@@ -443,12 +392,11 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
             coro = session.wrap_kernel(name, coro)
         threads.append(_KernelThread(
             name, coro, in_bindings, out_queues, timeout,
-            tracer=tracer, poison_on_error=(on_error == "poison"),
+            tracer=tracer, poison_on_error=poison,
         ))
 
     # Sources.
     sinks: List[_SinkThread] = []
-    sink_cursors: List[ArraySinkCursor] = []
     rtp_sinks: List[Tuple[ThreadedLatchQueue, RuntimeParam]] = []
     for gio, container in zip(g.inputs, io[:len(g.inputs)]):
         net = g.net(gio.net_id)
@@ -462,7 +410,7 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
             q.producer_names.append(f"source[{gio.io_index}]")
             threads.append(_SourceThread(
                 f"source[{gio.io_index}]", q, values, timeout, tracer=tracer,
-                poison_on_error=(on_error == "poison"),
+                poison_on_error=poison,
             ))
 
     # Sinks.
@@ -473,9 +421,7 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
             rtp_sinks.append((q, container))
             continue
         cidx = alloc_consumer(gio.net_id)
-        store, _many, cursor = sink_store(net.dtype, container)
-        if cursor is not None:
-            sink_cursors.append(cursor)
+        store, _many, _cursor = sink_store(net.dtype, container)
         q.consumer_names.append(f"sink[{gio.io_index}]")
         t = _SinkThread(f"sink[{gio.io_index}]", q, cidx, store, timeout,
                         tracer=tracer)
@@ -488,10 +434,9 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
         t.all_threads = threads
 
     return X86Plan(
-        graph=g, threads=threads, sinks=sinks, sink_cursors=sink_cursors,
-        rtp_sinks=rtp_sinks, queues=queues, timeout=timeout, tracer=tracer,
-        owns_tracer=owns_tracer, session=session, on_error=on_error,
-        strict=strict,
+        graph=g, spec=spec, outputs=list(io[len(g.inputs):]),
+        threads=threads, sinks=sinks, rtp_sinks=rtp_sinks, queues=queues,
+        session=session,
     )
 
 
@@ -542,10 +487,11 @@ def _containment_report(plan: X86Plan, failed: List[threading.Thread],
     session = plan.session
     failed_names = {t.task for t in failed}
     poisoned_names = [t.task for t in poisoned]
+    policy = plan.spec.on_error
     cone = dependent_cone(plan.graph, failed_names) \
-        if plan.on_error == "isolate" else set()
+        if policy == "isolate" else set()
     return failure_report(
-        plan.graph, plan.on_error,
+        plan.graph, policy,
         [TaskFailure(task=t.task, error=t.error,
                      injected=isinstance(t.error, InjectedFaultError))
          for t in failed],
@@ -556,22 +502,23 @@ def _containment_report(plan: X86Plan, failed: List[threading.Thread],
     )
 
 
-def execute_plan(plan: X86Plan) -> X86RunReport:
+def execute_plan(plan: X86Plan) -> RunResult:
     """Start every prepared thread, join with bounded waits, and collect
-    the run report.
+    the run's :class:`~repro.core.result.RunResult`.
 
-    Failure semantics follow the plan's ``on_error`` policy: under
-    ``"fail"`` any thread error raises :class:`SimulationError` (legacy
-    behavior); under ``"isolate"``/``"poison"`` kernel failures are
-    contained into a returned :class:`~repro.faults.FailureReport`.
-    Stall timeouts raise :class:`~repro.errors.SimDeadlockError` with a
-    wait-for-graph diagnosis when ``strict``, else return a report with
+    Failure semantics follow ``spec.on_error``: under ``"fail"`` any
+    thread error raises :class:`SimulationError`; under
+    ``"isolate"``/``"poison"`` kernel failures are contained into a
+    returned :class:`~repro.faults.FailureReport`.  Stall timeouts raise
+    :class:`~repro.errors.SimDeadlockError` with a wait-for-graph
+    diagnosis when ``spec.strict``, else return a result with
     ``completed=False`` and the same diagnosis attached.
     """
     g = plan.graph
+    spec = plan.spec
     threads = plan.threads
-    timeout = plan.timeout
-    tracer = plan.tracer
+    timeout = spec.timeout
+    tracer = spec.observe
     t0 = perf_counter()
     stragglers: List[threading.Thread] = []
     try:
@@ -594,12 +541,10 @@ def execute_plan(plan: X86Plan) -> X86RunReport:
                 stragglers.append(t)
         wall = perf_counter() - t0
     finally:
-        # The run-end marker and sink flush must survive abort paths so
-        # crashed runs still export a readable trace.
+        # The run-end marker must survive abort paths so crashed runs
+        # still export a readable trace.
         if tracer is not None:
             tracer.run_end(g.name, "x86sim")
-            if plan.owns_tracer:
-                tracer.close()
 
     stalled = [t for t in threads
                if getattr(t, "stalled", False) or t in stragglers]
@@ -609,7 +554,7 @@ def execute_plan(plan: X86Plan) -> X86RunReport:
               if getattr(t, "error", None) is not None
               and t not in stalled and t not in poisoned]
 
-    if plan.on_error == "fail":
+    if spec.on_error == "fail":
         for t in failed:
             raise SimulationError(
                 f"x86sim thread {t.name} failed: {t.error}"
@@ -642,22 +587,21 @@ def execute_plan(plan: X86Plan) -> X86RunReport:
             f"x86sim run of {g.name!r} stalled: {detail}\n"
             + deadlock_report.describe()
         )
-        if plan.strict:
+        if spec.strict:
             raise SimDeadlockError(diagnosis, deadlock=deadlock_report)
 
     for latch, param in plan.rtp_sinks:
         param.value = latch.last_value
 
-    items_in = sum(plan.queues[gio.net_id].total_puts for gio in g.inputs)
-    items_out = sum(s.items for s in plan.sinks)
-    return X86RunReport(
+    return RunResult(
+        backend="x86sim",
         graph_name=g.name,
+        outputs=plan.outputs,
         wall_time=wall,
-        n_threads=len(threads),
-        items_in=items_in,
-        items_out=items_out,
-        thread_names=[t.name for t in threads],
+        items_in=sum(plan.queues[gio.net_id].total_puts for gio in g.inputs),
+        items_out=sum(s.items for s in plan.sinks),
         completed=failure is None and not stalled,
+        n_threads=len(threads),
         task_states=task_states,
         stall_diagnosis=diagnosis,
         failure=failure,
@@ -666,21 +610,10 @@ def execute_plan(plan: X86Plan) -> X86RunReport:
 
 
 def run_threaded(graph: CompiledGraph | ComputeGraph, *io: Any,
-                 capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 timeout: Optional[float] = 60.0,
-                 observe: Any = None, faults: Any = None,
-                 on_error: str = "fail",
-                 strict: bool = True) -> X86RunReport:
-    """Execute a compute graph with one OS thread per kernel.
+                 **options: Any) -> RunResult:
+    """Execute a compute graph with one OS thread per kernel: the
+    x86sim backend's graph call, options bound as ``run_graph`` binds
+    them (``timeout``, ``strict``, ``faults``, ``on_error``, ...)."""
+    from ..exec.backends import call_graph
 
-    Takes the same positional sources/sinks as invoking the graph under
-    cgsim (§3.7).  ``timeout`` bounds any single blocking wait; a stall
-    longer than that raises :class:`SimulationError` rather than hanging
-    the host process (``strict=False`` returns the diagnosis on the
-    report instead).  ``faults`` / ``on_error`` are the fault-injection
-    and containment options of :mod:`repro.faults`.
-    """
-    return execute_plan(
-        prepare_threads(graph, io, capacity, timeout, observe=observe,
-                        faults=faults, on_error=on_error, strict=strict)
-    )
+    return call_graph(graph, io, options, "x86sim")

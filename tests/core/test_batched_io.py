@@ -70,14 +70,14 @@ class TestBatchedKernelPorts:
         the scheduler accounts the elements carried across the yield."""
         data = list(range(40))
         rep = BLOCK_GRAPH(data, [], capacity=2)
-        assert rep.stats.batch_carried_items > 0
+        assert rep.raw.batch_carried_items > 0
 
     def test_large_capacity_batches_never_carry(self):
         """When whole batches always fit, nothing is carried across a
         suspension (the batch never blocks mid-flight)."""
         data = list(range(40))
         rep = BLOCK_GRAPH(data, [], capacity=64)
-        assert rep.stats.batch_carried_items == 0
+        assert rep.raw.batch_carried_items == 0
 
     @pytest.mark.parametrize("n_items", [1, 7, 8, 13, 40])
     def test_up_to_batches_drain_any_length(self, n_items):

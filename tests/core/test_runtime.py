@@ -226,7 +226,7 @@ class TestReportContents:
 
     def test_profile_mode(self, adder_graph):
         report = adder_graph([1.0] * 50, [1.0] * 50, [], profile=True)
-        assert report.stats.profiled
+        assert report.raw.profiled
         assert 0 < report.kernel_fraction <= 1.0
 
     def test_repr(self, adder_graph):

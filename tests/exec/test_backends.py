@@ -20,12 +20,12 @@ from repro.exec import (
     run_graph,
 )
 
-ALL_BACKENDS = ["cgsim", "cgsim-mp", "pysim", "x86sim"]
+ALL_BACKENDS = available_backends()
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == sorted(ALL_BACKENDS)
+        assert ALL_BACKENDS == ["cgsim", "cgsim-mp", "pysim", "x86sim"]
 
     def test_get_backend_returns_instances(self):
         for name in ALL_BACKENDS:
@@ -88,13 +88,25 @@ class TestRunResultStats:
         assert results["cgsim"].per_kernel_resumes
         assert results["x86sim"].task_states  # every thread finished
         assert set(results["x86sim"].task_states.values()) == {"finished"}
+        # A graph call is a cgsim run and returns the same RunResult.
+        call = fig4_graph([1, 2], [])
+        assert isinstance(call, RunResult)
+        for name in ("items_in", "items_out", "task_states",
+                     "per_kernel_resumes", "context_switches"):
+            assert getattr(call, name) == getattr(results["cgsim"], name)
 
-    def test_profile_populates_kernel_fraction(self, fig4_graph):
-        r = run_graph(fig4_graph, list(range(32)), [], backend="cgsim",
-                      profile=True)
-        assert 0.0 <= r.kernel_fraction <= 1.0
+    @pytest.mark.parametrize("backend,options", [
+        ("cgsim", {}), ("cgsim", {"optimize": "fuse"}), ("cgsim-mp", {}),
+    ], ids=["none", "fuse", "cgsim-mp"])
+    def test_profile_populates_kernel_fraction(self, fig4_graph, backend,
+                                               options):
+        # Task CPU time over the scheduler wall: a fused driver finishes
+        # in one resume, whose slice must count too.
+        r = run_graph(fig4_graph, list(range(32)), [], backend=backend,
+                      profile=True, **options)
         assert r.per_kernel_time
-        r_off = run_graph(fig4_graph, [1], [], backend="cgsim")
+        assert 0.0 < r.kernel_fraction <= 1.0
+        r_off = run_graph(fig4_graph, [1], [], backend=backend, **options)
         assert math.isnan(r_off.kernel_fraction)
 
     def test_deadlocked_result_reports_diagnosis(self, fig4_graph):

@@ -32,7 +32,7 @@ from repro.core import (
 )
 from repro.errors import GraphRuntimeError
 from repro.exec import run_graph
-from repro.mp import MpRunReport
+from repro.mp import ShardRun
 
 RTP = PortSettings(runtime_parameter=True)
 
@@ -117,20 +117,20 @@ class TestReportAndOptions:
         sink = []
         result = run_graph(FARROW_GRAPH, blocks, mu, sink,
                            backend="cgsim-mp", workers=2)
-        report = result.raw
-        assert isinstance(report, MpRunReport)
-        assert report.n_workers == 2
-        assert report.completed and not report.deadlocked
-        assert report.items_in > 0 and report.items_out > 0
-        assert set(report.worker_walls) == {0, 1}
-        assert "farrow_stage1_0" in report.task_states
-        assert "farrow_stage2_0" in report.task_states
+        assert isinstance(result.raw, ShardRun)
+        assert result.n_threads == 2
+        assert result.completed and not result.deadlocked
+        assert result.items_in > 0 and result.items_out > 0
+        assert set(result.raw.worker_walls) == {0, 1}
+        assert result.raw.placement.n_workers == 2
+        assert "farrow_stage1_0" in result.task_states
+        assert "farrow_stage2_0" in result.task_states
 
     def test_workers_clamped_in_report(self):
         blocks, mu = _farrow_io(2)
         result = run_graph(FARROW_GRAPH, blocks, mu, [],
                            backend="cgsim-mp", workers=16)
-        assert result.raw.n_workers == 2  # only two indivisible units
+        assert result.n_threads == 2  # only two indivisible units
 
     def test_fault_plans_rejected(self):
         from repro.faults import FaultPlan

@@ -298,7 +298,8 @@ class TestRunGraphWatchdog:
 
     def test_stalled_kernel_detected(self):
         """A kernel that blocks the scheduler thread without making
-        queue progress trips the watchdog mid-run."""
+        queue progress trips the watchdog mid-run, and the result
+        carries the stall warning, on both cooperative backends."""
         from repro.exec import run_graph
 
         @make_compute_graph(name="nap")
@@ -307,11 +308,14 @@ class TestRunGraphWatchdog:
             napper_kernel(a, c)
             return c
 
-        sink: list = []
-        dog = ProgressWatchdog(0.02, poll_s=0.005)
-        result = run_graph(g, [1, 2, 3], sink, watchdog=dog,
-                           observe=True)
-        assert result.status == "ok"
-        assert dog.stalled
-        assert any(ev.kind == HEALTH_STALL
-                   for ev in result.trace.events)
+        for backend in ("cgsim", "pysim"):
+            sink: list = []
+            dog = ProgressWatchdog(0.02, poll_s=0.005)
+            result = run_graph(g, [1, 2, 3], sink, watchdog=dog,
+                               observe=True, backend=backend)
+            assert result.status == "ok"
+            assert dog.stalled
+            assert any(ev.kind == HEALTH_STALL
+                       for ev in result.trace.events)
+            assert any("no-progress window" in w for w in result.warnings)
+            assert result.to_json()["warnings"] == result.warnings

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exec import available_backends, run_graph
 from repro.report import (
     extraction_report_md,
     full_report,
@@ -58,6 +59,12 @@ class TestRunReport:
         report = adder_graph([1.0] * 20, [2.0] * 20, [], profile=True)
         md = run_report_md(report)
         assert "inside" in md and "%" in md
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_any_backend_result(self, fig4_graph, backend):
+        md = run_report_md(run_graph(fig4_graph, [1, 2], [], backend=backend))
+        assert "## Run of `fig4`: completed" in md
+        assert "| 2 | 2 |" in md
 
     def test_stalled_run(self):
         from repro.core import (

@@ -50,7 +50,9 @@ class TestBasicRuns:
         rep = run_threaded(fig4_graph, [1], [])
         # 2 kernels + 1 source + 1 sink
         assert rep.n_threads == 4
-        assert len(rep.thread_names) == 4
+        # one thread per task, named by its logical task name
+        assert sorted(rep.task_states) == [
+            "doubler_kernel_0", "doubler_kernel_1", "sink[0]", "source[0]"]
 
     def test_empty_input(self, adder_graph):
         out = []
