@@ -13,6 +13,9 @@ Layers
 ``shm_ring``
     The cross-process SPSC transport (registered as ``"shm"`` in the
     :mod:`repro.core.transport` registry).
+``codec``
+    ``pack_values``: a worker's sink run of numpy numeric scalars
+    crosses back to the manager as one typed ndarray.
 ``placement``
     Realm-aware shard placement with an acyclic worker quotient graph.
 ``worker``

@@ -6,7 +6,9 @@
    (:func:`~repro.core.sources_sinks.check_io`) before anything forks,
    so a bad sink container fails as fast as on cgsim;
 1. **place** — :func:`~repro.mp.placement.place_graph` cuts the graph
-   into per-worker shards with an acyclic, id-ordered worker quotient;
+   into per-worker shards with an acyclic, id-ordered worker quotient
+   (stdlib graph code, about a millisecond; nothing heavy is imported
+   on the run path);
 2. **allocate** — one :class:`~repro.mp.shm_ring.ShmRing` per
    inter-worker net crossing, created *before* fork so every child
    inherits the mappings and locks;
@@ -20,13 +22,15 @@
    built by :func:`repro.faults.cone.failure_report`, the same rules
    every backend and trace replay use, with the lost shard and the
    sinks it homed added to the dead set;
-5. **merge** — sink payloads land in the caller's containers in net
-   FIFO order (bit-identical to a single-process run; one bulk
-   ``store_many`` per sink, through the shared
-   :func:`~repro.core.sources_sinks.sink_store`), RTP latch values
-   fill the caller's :class:`~repro.core.sources_sinks.RuntimeParam`
-   boxes, per-worker statistics are summed, and observe events from all
-   workers are sorted by timestamp and fed through
+5. **merge** — sink payloads (a run of numpy scalars arrives as the
+   one typed ndarray :func:`~repro.mp.codec.pack_values` made of it)
+   land in the caller's containers in net FIFO order (bit-identical
+   to a single-process run; one bulk ``store_many`` per sink, through
+   the shared :func:`~repro.core.sources_sinks.sink_store`), RTP latch
+   values fill the caller's
+   :class:`~repro.core.sources_sinks.RuntimeParam` boxes, per-worker
+   statistics are summed, and observe events from all workers are
+   sorted by timestamp and fed through
    :meth:`~repro.observe.events.Tracer.ingest` into the caller-facing
    tracer — one totally-ordered trace with per-kernel tracks.
 """
@@ -36,6 +40,8 @@ from __future__ import annotations
 import multiprocessing
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from ..core.result import RunResult, kernel_fraction
 from ..core.sources_sinks import RuntimeParam, check_io, sink_store
@@ -120,6 +126,13 @@ def _merge_outputs(graph, placement: Placement, io,
         home = placement.sink_home(gio.io_index)
         msg = results.get(home)
         payload = msg["sinks"].get(gio.io_index, []) if msg else []
+        if type(payload) is np.ndarray and not (
+                isinstance(container, list)
+                or payload.dtype == container.dtype):
+            # A packed run goes straight into a list sink or a sink array
+            # of its own dtype; a cast into another dtype goes element by
+            # element, raising where cgsim's element store raises.
+            payload = list(payload)
         _store, store_many, _cursor = sink_store(net.dtype, container)
         store_many(payload)
         counts[gio.io_index] = len(payload)

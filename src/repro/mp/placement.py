@@ -12,7 +12,11 @@ starts from the extractor's realm partition (§4.3) and produces one
    construction: strongly-connected kernel components are contracted
    first (a feedback loop never crosses a process boundary), the
    condensation is topologically ordered, and shards are cut as
-   contiguous segments of that order.
+   contiguous segments of that order.  The graph work — an iterative
+   Tarjan for the components, Kahn's order of the condensation,
+   union-find for the independent parts — is plain stdlib code: no
+   networkx import on the run path (importing it costs more than a
+   whole small sharded run).
 2. **Realm affinity.**  Independent components are grouped by dominant
    realm before balancing, so when workers ≥ realms each realm's
    kernels tend to land together — the placement analog of the
@@ -39,8 +43,9 @@ Two further co-location rules keep the transport single-writer:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.graph import ComputeGraph
 from ..errors import GraphRuntimeError
@@ -188,14 +193,108 @@ def _producer_groups(graph: ComputeGraph) -> List[Set[int]]:
     return groups
 
 
+def _condense(n: int, edges: List[Tuple[int, int]]):
+    """Strongly-connected components of the instance graph and the
+    condensation's successor lists.
+
+    An iterative Tarjan, rooted at each unvisited instance in index
+    order and walking successors in edge order; components are numbered
+    in the order they complete.  Returns ``(sccs, succ)``: member lists
+    per component, and per component its distinct successor components
+    in first-edge order.
+    """
+    out: List[Dict[int, None]] = [{} for _ in range(n)]  # ordered sets
+    for a, b in edges:
+        out[a][b] = None
+    preorder = itertools.count(1)
+    index = [0] * n                     # DFS preorder, 0 = unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    path: List[Tuple[int, Iterator[int]]] = []  # the DFS path
+    comp = [-1] * n
+    sccs: List[List[int]] = []
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = next(preorder)
+        stack.append(v)
+        on_stack[v] = True
+        path.append((v, iter(out[v])))
+
+    for root in range(n):
+        if index[root]:
+            continue
+        visit(root)
+        while path:
+            v, it = path[-1]
+            for w in it:
+                if not index[w]:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:  # every successor explored: v is done
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:  # v roots a component
+                    members: List[int] = []
+                    while not members or members[-1] != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = len(sccs)
+                        members.append(w)
+                    sccs.append(members)
+    succ: List[Dict[int, None]] = [{} for _ in sccs]
+    for a in range(n):
+        for b in out[a]:
+            if comp[a] != comp[b]:
+                succ[comp[a]][comp[b]] = None
+    return sccs, succ
+
+
+def _topo_order(succ: List[Dict[int, None]]) -> List[int]:
+    """Kahn's order of a DAG: sources in component order, then each
+    newly freed component in the order its last predecessor frees it."""
+    indeg = [0] * len(succ)
+    for vs in succ:
+        for v in vs:
+            indeg[v] += 1
+    order = [u for u, d in enumerate(indeg) if d == 0]
+    for u in order:  # grows while iterated: a FIFO work list
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    return order
+
+
+def _weak_components(succ: List[Dict[int, None]]) -> List[List[int]]:
+    """Weakly-connected components of a DAG by union-find."""
+    parent = list(range(len(succ)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, vs in enumerate(succ):
+        for v in vs:
+            parent[find(u)] = find(v)
+    groups: Dict[int, List[int]] = {}
+    for u in range(len(succ)):
+        groups.setdefault(find(u), []).append(u)
+    return list(groups.values())
+
+
 def place_graph(graph: ComputeGraph, n_workers: int) -> Placement:
     """Place *graph* onto at most *n_workers* shards (see module docs).
 
     Returns fewer shards than requested when the graph has fewer
     divisible units (a 2-kernel pipeline on 4 workers yields 2 shards).
     """
-    import networkx as nx
-
     if n_workers < 1:
         raise GraphRuntimeError(f"n_workers must be >= 1, got {n_workers}")
     part = partition_graph(graph)
@@ -205,31 +304,27 @@ def place_graph(graph: ComputeGraph, n_workers: int) -> Placement:
             f"graph {graph.name!r} has no kernel instances to place"
         )
 
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n_insts))
-    g.add_edges_from(_stream_edges(graph))
+    edges = _stream_edges(graph)
     # Contract co-location groups (kernel-produced RTP endpoint sets,
     # producers of merge nets) by threading a cycle through each group,
     # which fuses it into one SCC.
     for grp in _rtp_groups(graph) + _producer_groups(graph):
         ring = sorted(grp)
         for a, b in zip(ring, ring[1:] + ring[:1]):
-            g.add_edge(a, b)
-            g.add_edge(b, a)
+            edges += [(a, b), (b, a)]
 
-    cond = nx.condensation(g)  # DAG of SCCs; node attr "members"
-    topo = list(nx.topological_sort(cond))
-    topo_pos = {scc: i for i, scc in enumerate(topo)}
+    sccs, succ = _condense(n_insts, edges)
+    topo_pos = {scc: i for i, scc in enumerate(_topo_order(succ))}
 
     # Group SCCs into weakly-connected components: independent units
     # that can go to any worker without creating quotient edges.
     comps = []
-    for comp_nodes in nx.weakly_connected_components(cond):
-        sccs = sorted(comp_nodes, key=topo_pos.__getitem__)
-        scc_members = [sorted(cond.nodes[scc]["members"]) for scc in sccs]
+    for comp_sccs in _weak_components(succ):
+        comp_sccs.sort(key=topo_pos.__getitem__)
+        scc_members = [sorted(sccs[c]) for c in comp_sccs]
         realms = {graph.kernels[i].realm.name
                   for ms in scc_members for i in ms}
-        comps.append((min(sorted(realms)), topo_pos[sccs[0]], scc_members))
+        comps.append((min(realms), topo_pos[comp_sccs[0]], scc_members))
     # Realm affinity first, then topological position (stable for the
     # common single-realm case).
     comps.sort(key=lambda c: (c[0], c[1]))

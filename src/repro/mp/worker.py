@@ -29,7 +29,11 @@ it reports a structured stall diagnosis (the same
 ``describe_blockage`` text as single-process runs, plus ring fill
 levels); a worker whose kernel raises reports a failure message.  All
 results — sink payloads, RTP latch values, scheduler statistics, and
-observe events — travel back to the manager over a pipe.
+observe events — travel back to the manager in one pickled message over
+a pipe.  Each sink payload is packed by
+:func:`~repro.mp.codec.pack_values`: a sink of numpy numeric scalars
+(the common case: every float32/int32 stream) crosses as one typed
+ndarray instead of one pickled object per element.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from ..core.queues import BroadcastQueue, LatchQueue
 from ..core.scheduler import CooperativeScheduler, TaskState
 from ..core.sources_sinks import RuntimeParam, make_sink, make_source
 from ..errors import GraphRuntimeError
+from .codec import pack_values
 
 if TYPE_CHECKING:
     from ..exec.spec import RunSpec
@@ -478,7 +483,8 @@ class ShardRuntime:
         wall = perf_counter() - t0
         items_in = sum(self.queues[nid].total_puts
                        for nid in self._input_net_ids)
-        sinks_payload = {i: store for i, _coro, store in self._sinks}
+        sinks_payload = {i: pack_values(store)
+                         for i, _coro, store in self._sinks}
         # Stamp worker id + emission sequence (schema v2) so the manager
         # can merge the per-worker streams into one deterministic total
         # order even when coarse clocks collide across processes.

@@ -8,6 +8,7 @@ scaling is measured by the benchmark, not asserted here.
 
 import numpy as np
 import pytest
+from farm_graphs import FARROW_FARM4, IIR_FARM4, farrow_farm_io, iir_farm_io
 
 from repro.apps import datasets
 from repro.apps.farm import (
@@ -147,14 +148,84 @@ class TestReportAndOptions:
                       backend="cgsim-mp", nonsense=1)
 
 
-def test_two_workers_match_single_process_on_farm():
-    """A multi-kernel farm on 2 workers is bit-identical to the
-    single-process backend.  Which of the two is faster is measured by
-    the benchmark (``farm`` workload, ``mp.speedup_vs_cgsim``), not
-    asserted here: a single-shot wall-clock comparison depends on what
-    ran before it in the process."""
-    inp = bitonic_farm_io(400)
-    sp = run_farm(BITONIC_FARM4, inp, backend="cgsim")
-    mp = run_farm(BITONIC_FARM4, inp, backend="cgsim-mp", workers=2)
+def _assert_same_elements(sp, mp):
+    """Per element: same value, same ``type()`` and, for numpy values,
+    the same dtype and bytes."""
+    assert len(mp) == len(sp)
     for a, b in zip(sp, mp):
-        assert np.array_equal(a, b)
+        assert type(b) is type(a)
+        if isinstance(a, (np.generic, np.ndarray)):
+            assert b.dtype == a.dtype and np.shape(b) == np.shape(a)
+            assert b.tobytes() == a.tobytes()
+        else:
+            assert b == a
+
+
+@compute_kernel(realm=AIE)
+async def mp_py_ints(x: In[int32], y: Out[int32]):
+    while True:
+        await y.put(int(await x.get()) * 3)
+
+
+@make_compute_graph(name="mp_py_int_lanes")
+def PY_INT_LANES(a: IoC[int32], b: IoC[int32]):
+    outs = []
+    for i, x in enumerate((a, b)):
+        y = IoConnector(int32, name=f"y{i}")
+        mp_py_ints(x, y)
+        outs.append(y)
+    return tuple(outs)
+
+
+FARM_CASES = {
+    "bitonic": (BITONIC_FARM4, lambda: bitonic_farm_io(400)),
+    "bilinear": (BILINEAR_FARM4, lambda: bilinear_farm_io(2)),
+    "farrow": (FARROW_FARM4, lambda: farrow_farm_io(6)),
+    "iir": (IIR_FARM4, lambda: iir_farm_io(3)),
+    "python_ints": (PY_INT_LANES, lambda: [list(range(50)),
+                                           list(range(100, 140))]),
+}
+
+
+def test_two_workers_match_single_process_on_farm():
+    """Every farm on 2 workers delivers the single-process sinks element
+    for element: value, ``type()`` and bytes — list sinks of numpy
+    scalars, of ndarray windows and of Python ints, and ndarray sinks.
+    Which of the two is faster is measured by the benchmark (``farm``
+    workload, ``mp.speedup_vs_cgsim``), not asserted here: a
+    single-shot wall-clock comparison depends on what ran before it in
+    the process."""
+    for case, (graph, make_io) in FARM_CASES.items():
+        inputs = make_io()
+        n_out = len(graph.graph.outputs)
+        sp = [[] for _ in range(n_out)]
+        mp = [[] for _ in range(n_out)]
+        assert run_graph(graph, *inputs, *sp, backend="cgsim").completed
+        result = run_graph(graph, *inputs, *mp, backend="cgsim-mp",
+                           workers=2)
+        assert result.completed and result.n_threads == 2, case
+        for a, b in zip(sp, mp):
+            assert a, case
+            _assert_same_elements(a, b)
+
+    # ndarray sinks, of the stream's dtype and of others (the float32
+    # stream casts into them exactly as cgsim's element stores do).
+    inp = [a * 1e3 for a in bitonic_farm_io(4)]
+    for dtype in (np.float32, np.float64, np.int32):
+        sp = [np.zeros(64, dtype=dtype) for _ in range(4)]
+        mp = [np.zeros(64, dtype=dtype) for _ in range(4)]
+        run_graph(BITONIC_FARM4, *inp, *sp, backend="cgsim")
+        assert run_graph(BITONIC_FARM4, *inp, *mp, backend="cgsim-mp",
+                         workers=2).completed
+        for a, b in zip(sp, mp):
+            assert b.dtype == a.dtype and b.tobytes() == a.tobytes()
+
+
+def test_out_of_range_sink_array_raises_like_single_process():
+    """A value the sink array's dtype cannot hold raises on cgsim-mp as
+    on cgsim: a packed run is not cast into the array wholesale."""
+    inp = [a * 1e3 for a in bitonic_farm_io(4)]
+    for backend, opts in (("cgsim", {}), ("cgsim-mp", {"workers": 2})):
+        sinks = [np.zeros(64, dtype=np.int8) for _ in range(4)]
+        with pytest.raises(Exception, match="out of bounds for int8"):
+            run_graph(BITONIC_FARM4, *inp, *sinks, backend=backend, **opts)
