@@ -5,6 +5,11 @@ API uses (``aie::mul``, ``aie::mac``, ...).  Integer multiplies return
 wide :class:`~repro.aieintr.accum.Accum` registers; float multiplies
 return float accumulators; both move back to vectors via
 ``Accum.to_vector``.
+
+Kernels call these per vector step, so each one should cost little
+more than its numpy work: dtype tests read ``dtype.kind``, the integer
+sliding MAC is a single int64 ``np.correlate``, and the float one feeds
+an ``as_strided`` window view to one matmul.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ __all__ = ["mul", "mac", "msc", "negmul", "add", "sub", "sliding_mul",
 
 
 def _acc_kind_for(v: AieVector) -> str:
-    if np.issubdtype(v.dtype, np.floating):
+    if v.dtype.kind == "f":
         return "accfloat"
     # int16 x int16 chains use 48-bit lanes; int32 paths use 80-bit.
     return "acc80" if v.ebytes >= 4 else "acc48"
@@ -91,43 +96,45 @@ def sliding_mac(acc, coeffs: AieVector, data: np.ndarray, out_lanes: int,
         )
     if d.ndim != 1:
         raise ValueError("sliding window data must be one-dimensional")
-    if np.iscomplexobj(d) or np.iscomplexobj(coeffs.data):
+    ckind = coeffs.dtype.kind
+    dkind = d.dtype.kind
+    if ckind == "c" or dkind == "c":
         raise TypeError(
             "sliding_mul/mac operate on real lanes; split complex data "
             "into real/imag component chains (two MAC chains, as the "
             "hardware's cmac pairs do)"
         )
-    is_float = np.issubdtype(coeffs.dtype, np.floating) or np.issubdtype(
-        d.dtype, np.floating
-    )
     # Total MAC lane-operations: one per (output, tap) pair.  The timing
     # model divides by the per-cycle MAC throughput of the element width.
     total_macs = out_lanes * taps
-    if is_float:
+    if ckind == "f" or dkind == "f":
         emit("vfpmac", total_macs, 4)
-        # Strided sliding-window view: rows are the per-output windows.
-        windows = np.lib.stride_tricks.sliding_window_view(d, taps)[
-            start:start + out_lanes * step:step
-        ]
+        # Strided sliding-window view (no copy): row i is the window at
+        # start + i*step.  The need check above keeps it in bounds.
+        s = d.strides[0]
+        windows = np.lib.stride_tricks.as_strided(
+            d[start:], shape=(out_lanes, taps), strides=(s * step, s),
+            writeable=False,
+        )
         res = windows @ coeffs.data
         base = acc.data if acc is not None else 0
         kind = "accfloat"
         data_out = (base + res).astype(np.float32)
     else:
         emit("vmac", total_macs, coeffs.ebytes)
-        # One strided multiply-add per tap.  int64 sums wrap mod 2^64 in
-        # any order, so this equals the windowed int64 matmul exactly;
-        # numpy cannot hand that matmul to BLAS, and it is far slower.
-        span = (out_lanes - 1) * step + 1
+        # One int64 correlation over the covered span, then every
+        # step-th output.  int64 sums wrap mod 2^64 in any order, so this
+        # equals the windowed int64 matmul exactly (numpy cannot hand an
+        # integer matmul to BLAS).
         x = d[start:need].astype(np.int64, copy=False)
-        res = np.zeros(out_lanes, dtype=np.int64)
-        for k, c in enumerate(coeffs.data.astype(np.int64).tolist()):
-            res += c * x[k:k + span:step]
-        base = acc.data if acc is not None else np.int64(0)
-        kind = acc.kind if acc is not None else (
-            "acc80" if coeffs.ebytes >= 4 else "acc48"
-        )
-        data_out = base + res
+        res = np.correlate(x, coeffs.data.astype(np.int64),
+                           "valid")[:out_lanes * step:step]
+        if acc is None:
+            kind = "acc80" if coeffs.ebytes >= 4 else "acc48"
+            data_out = res
+        else:
+            kind = acc.kind
+            data_out = acc.data + res
     out = Accum(data_out, kind)
     if not out.is_float:
         out._check_range()

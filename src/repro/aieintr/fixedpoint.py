@@ -41,11 +41,11 @@ class RoundMode:
     ALL = (FLOOR, NEAREST, EVEN)
 
 
+# int64 scalars, not Python ints: a Python int limit outside a narrower
+# input dtype's range would make np.maximum raise OverflowError.
 _INT_LIMITS = {
-    np.dtype(np.int8): (-(1 << 7), (1 << 7) - 1),
-    np.dtype(np.int16): (-(1 << 15), (1 << 15) - 1),
-    np.dtype(np.int32): (-(1 << 31), (1 << 31) - 1),
-    np.dtype(np.int64): (-(1 << 63), (1 << 63) - 1),
+    np.dtype(t): (np.int64(np.iinfo(t).min), np.int64(np.iinfo(t).max))
+    for t in (np.int8, np.int16, np.int32, np.int64)
 }
 
 
@@ -56,7 +56,7 @@ def saturate(values: np.ndarray, dtype) -> np.ndarray:
         lo, hi = _INT_LIMITS[dt]
     except KeyError:
         raise ValueError(f"saturate() supports signed ints, got {dt}") from None
-    return np.clip(values, lo, hi).astype(dt)
+    return np.minimum(np.maximum(values, lo), hi).astype(dt, copy=False)
 
 
 def round_shift(values: np.ndarray, shift: int,
@@ -75,11 +75,12 @@ def round_shift(values: np.ndarray, shift: int,
         return v >> shift
     half = np.int64(1) << (shift - 1)
     if mode == RoundMode.NEAREST:
-        # Round half away from zero: add +half for non-negative, and
-        # (half - 1) for negatives so that -0.5 rounds to -1... AIE's
-        # symmetric rounding rounds magnitudes, i.e. away from zero.
-        adj = np.where(v >= 0, half, half - 1)
-        return (v + adj) >> shift
+        # Round half away from zero (AIE's symmetric rounding rounds
+        # magnitudes): add half for non-negative values and half - 1 for
+        # negatives, so that -0.5 rounds to -1.  The adjustment is built
+        # first so the one add touching v wraps silently, as an array
+        # op, even when v is 0-d.
+        return (v + ((v >= 0) + (half - 1))) >> shift
     if mode == RoundMode.EVEN:
         q = v >> shift
         rem = v - (q << shift)
@@ -96,9 +97,9 @@ def srs_array(acc: np.ndarray, shift: int, dtype=np.int16,
     This is the workhorse move from the 48/80-bit accumulator register
     back to a 16/32-bit vector register.
     """
-    emit("srs", int(np.asarray(acc).shape[-1]) if np.asarray(acc).ndim else 1,
-         np.dtype(dtype).itemsize)
-    return saturate(round_shift(acc, shift, mode), dtype)
+    a = np.asarray(acc)
+    emit("srs", int(a.shape[-1]) if a.ndim else 1, np.dtype(dtype).itemsize)
+    return saturate(round_shift(a, shift, mode), dtype)
 
 
 def ups_array(values: np.ndarray, shift: int) -> np.ndarray:

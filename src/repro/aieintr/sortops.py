@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .shuffle import butterfly_partner
+from .shuffle import _butterfly_index
 from .tracing import emit
 from .vector import AieVector
 
@@ -43,13 +43,20 @@ def compare_exchange(v: AieVector, distance: int,
 
     Lane i is paired with lane ``i ^ distance``; where the mask is True
     the lane keeps min(pair), else max(pair).  Maps to a shuffle + vmin +
-    vmax + select on hardware.
+    vmax + select on hardware, and emits those four micro-ops in that
+    order; the intermediate registers stay raw lane arrays.
     """
-    partner = butterfly_partner(v, distance)
-    lo = v.min(partner)
-    hi = v.max(partner)
-    emit("vsel", v.data.shape[0], v.data.itemsize)
-    out = np.where(np.asarray(keep_min_mask, dtype=bool), lo.data, hi.data)
+    data = v.data
+    lanes, ebytes = data.shape[0], data.itemsize
+    idx = _butterfly_index(lanes, distance)
+    emit("vshuffle", lanes, ebytes)
+    partner = data[idx]
+    emit("vmin", lanes, ebytes)
+    lo = np.minimum(data, partner)
+    emit("vmax", lanes, ebytes)
+    hi = np.maximum(data, partner)
+    emit("vsel", lanes, ebytes)
+    out = np.where(np.asarray(keep_min_mask, dtype=bool), lo, hi)
     return AieVector(out, _trusted=True)
 
 

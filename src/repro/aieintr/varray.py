@@ -46,7 +46,7 @@ def va_sub(a: np.ndarray, b) -> np.ndarray:
 def va_mul(a: np.ndarray, b) -> np.ndarray:
     """Elementwise multiply (integer products widen to int64)."""
     a = np.asarray(a)
-    if np.issubdtype(a.dtype, np.integer):
+    if a.dtype.kind in "iu":
         emit("vmul", _n(a), a.dtype.itemsize)
         return a.astype(np.int64) * np.asarray(b, dtype=np.int64)
     emit("vfpmul", _n(a), a.dtype.itemsize)
@@ -56,7 +56,7 @@ def va_mul(a: np.ndarray, b) -> np.ndarray:
 def va_mac(acc: np.ndarray, a: np.ndarray, b) -> np.ndarray:
     """acc + a*b over a whole buffer."""
     a = np.asarray(a)
-    if np.issubdtype(a.dtype, np.integer):
+    if a.dtype.kind in "iu":
         emit("vmac", _n(a), a.dtype.itemsize)
         return np.asarray(acc, dtype=np.int64) + a.astype(np.int64) * np.asarray(
             b, dtype=np.int64

@@ -9,10 +9,17 @@ bits, i.e. 4..32 lanes depending on element type.
 
 Every operation emits a micro-op via :mod:`repro.aieintr.tracing` so the
 cycle-approximate simulator can cost it.
+
+The operations run once per lane step of a kernel, so they avoid
+per-call Python set-up: the wrapping arithmetic ops share one
+``np.errstate(over="ignore")`` decorator instead of building a context
+manager each call, results are cast with ``astype(copy=False)``, and
+``push`` gathers through a cached index table.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
@@ -33,6 +40,22 @@ def _check_lanes(lanes: int) -> None:
         raise ValueError(
             f"AIE vectors support lane counts {VALID_LANES}, got {lanes}"
         )
+
+
+@lru_cache(maxsize=64)
+def _push_index(lanes: int) -> np.ndarray:
+    """Read-only ``[0, 0, 1, ..., lanes-2]`` gather table for ``push``."""
+    idx = np.arange(-1, lanes - 1)
+    idx[0] = 0
+    idx.setflags(write=False)
+    return idx
+
+
+#: Element-type wrap-around is the vector ALU's overflow behaviour, so
+#: arithmetic ops silence numpy's overflow warning (and only that one).
+#: Used as a decorator, numpy >= 2 keeps the state per call in a context
+#: variable, so the one shared instance is safe across threads.
+_wrap_overflow = np.errstate(over="ignore")
 
 
 class AieVector:
@@ -114,22 +137,19 @@ class AieVector:
         """
         data = self.data
         emit("vshift_elem", data.shape[0], data.itemsize)
-        out = np.empty_like(data)
-        out[1:] = data[:-1]
+        out = data[_push_index(data.shape[0])]
         out[0] = value
         return AieVector(out, _trusted=True)
 
     # -- elementwise arithmetic --------------------------------------------------------
 
+    @_wrap_overflow
     def _binop(self, other, ufunc, name: str) -> "AieVector":
-        if isinstance(other, AieVector):
-            rhs = other.data
-        else:
-            rhs = other
-        emit(name, self.lanes, self.ebytes)
-        with np.errstate(over="ignore"):
-            return AieVector(ufunc(self.data, rhs).astype(self.dtype),
-                             _trusted=True)
+        data = self.data
+        rhs = other.data if isinstance(other, AieVector) else other
+        emit(name, data.shape[0], data.itemsize)
+        return AieVector(ufunc(data, rhs).astype(data.dtype, copy=False),
+                         _trusted=True)
 
     def __add__(self, other):
         return self._binop(other, np.add, "vadd")
@@ -138,15 +158,14 @@ class AieVector:
         return self._binop(other, np.add, "vadd")
 
     def __sub__(self, other):
-        if isinstance(other, AieVector):
-            return self._binop(other, np.subtract, "vsub")
         return self._binop(other, np.subtract, "vsub")
 
+    @_wrap_overflow
     def __rsub__(self, other):
-        emit("vsub", self.lanes, self.ebytes)
-        with np.errstate(over="ignore"):
-            return AieVector((other - self.data).astype(self.dtype),
-                             _trusted=True)
+        data = self.data
+        emit("vsub", data.shape[0], data.itemsize)
+        return AieVector((other - data).astype(data.dtype, copy=False),
+                         _trusted=True)
 
     def __mul__(self, other):
         return self._binop(other, np.multiply, "vmul")
@@ -154,16 +173,19 @@ class AieVector:
     def __rmul__(self, other):
         return self._binop(other, np.multiply, "vmul")
 
+    @_wrap_overflow
     def __neg__(self):
-        emit("vneg", self.lanes, self.ebytes)
-        with np.errstate(over="ignore"):
-            return AieVector((-self.data).astype(self.dtype), _trusted=True)
+        data = self.data
+        emit("vneg", data.shape[0], data.itemsize)
+        return AieVector((-data).astype(data.dtype, copy=False),
+                         _trusted=True)
 
+    @_wrap_overflow
     def abs(self) -> "AieVector":
-        emit("vabs", self.lanes, self.ebytes)
-        with np.errstate(over="ignore"):
-            return AieVector(np.abs(self.data).astype(self.dtype),
-                             _trusted=True)
+        data = self.data
+        emit("vabs", data.shape[0], data.itemsize)
+        return AieVector(np.abs(data).astype(data.dtype, copy=False),
+                         _trusted=True)
 
     # -- reductions -----------------------------------------------------------------
 

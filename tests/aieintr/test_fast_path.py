@@ -1,12 +1,18 @@
-"""The no-recorder fast path of the intrinsic layer.
+"""The fast paths of the intrinsic layer.
 
 ``emit`` is free while no recorder is active anywhere, recording stays
 per thread, the constant lane tables are cached read-only, and the
 integer ``sliding_mac`` equals the windowed int64 matmul it replaced.
+
+Each rewritten intrinsic is also checked against a frozen copy of the
+body it replaced (kept here only, as the reference): same values, dtype
+and bytes, or the same exception type; and the wrapping vector ops
+override only numpy's ``over`` error state.
 """
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +22,11 @@ from hypothesis import strategies as st
 from repro import aieintr as aie
 from repro.aieintr import tracing
 from repro.aieintr.accum import Accum
+from repro.aieintr.fixedpoint import RoundMode, round_shift, saturate
 from repro.aieintr.shuffle import _butterfly_index, butterfly_partner
-from repro.aieintr.sortops import bitonic_stage_dirs
+from repro.aieintr.sortops import bitonic_stage_dirs, compare_exchange
 from repro.aieintr.tracing import TraceRecorder, active_recorder, emit
+from repro.aieintr.vector import VALID_LANES, AieVector
 
 
 def _in_thread(fn):
@@ -230,3 +238,465 @@ class TestIntegerSlidingMac:
         taps = aie.vec([1, 1], dtype=np.int16)
         with pytest.raises(ValueError):
             aie.sliding_mul(taps, np.ones((8, 2), dtype=np.int16), 4)
+
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the replaced bodies (references only; not in src/)
+# ---------------------------------------------------------------------------
+
+
+def _frozen_sliding_mac(acc, coeffs, data, out_lanes, start=0, step=1):
+    """``sliding_mac`` as it was: per-tap loop, sliding_window_view."""
+    taps = coeffs.lanes
+    d = np.asarray(data)
+    need = start + (out_lanes - 1) * step + taps
+    if d.shape[0] < need:
+        raise ValueError("short")
+    if d.ndim != 1:
+        raise ValueError("ndim")
+    if np.iscomplexobj(d) or np.iscomplexobj(coeffs.data):
+        raise TypeError("complex")
+    is_float = np.issubdtype(coeffs.dtype, np.floating) or np.issubdtype(
+        d.dtype, np.floating
+    )
+    if is_float:
+        windows = np.lib.stride_tricks.sliding_window_view(d, taps)[
+            start:start + out_lanes * step:step
+        ]
+        res = windows @ coeffs.data
+        base = acc.data if acc is not None else 0
+        kind = "accfloat"
+        data_out = (base + res).astype(np.float32)
+    else:
+        span = (out_lanes - 1) * step + 1
+        x = d[start:need].astype(np.int64, copy=False)
+        res = np.zeros(out_lanes, dtype=np.int64)
+        for k, c in enumerate(coeffs.data.astype(np.int64).tolist()):
+            res += c * x[k:k + span:step]
+        base = acc.data if acc is not None else np.int64(0)
+        kind = acc.kind if acc is not None else (
+            "acc80" if coeffs.ebytes >= 4 else "acc48"
+        )
+        data_out = base + res
+    out = Accum(data_out, kind)
+    if not out.is_float:
+        out._check_range()
+    return out
+
+
+def _frozen_round_shift(values, shift, mode=RoundMode.NEAREST):
+    v = np.asarray(values, dtype=np.int64)
+    if shift < 0:
+        raise ValueError("shift")
+    if shift == 0:
+        return v.copy()
+    if mode == RoundMode.FLOOR:
+        return v >> shift
+    half = np.int64(1) << (shift - 1)
+    if mode == RoundMode.NEAREST:
+        adj = np.where(v >= 0, half, half - 1)
+        return (v + adj) >> shift
+    if mode == RoundMode.EVEN:
+        q = v >> shift
+        rem = v - (q << shift)
+        tie = rem == half
+        up = (rem > half) | (tie & ((q & 1) == 1))
+        return q + up.astype(np.int64)
+    raise ValueError("mode")
+
+
+_FROZEN_LIMITS = {
+    np.dtype(np.int8): (-(1 << 7), (1 << 7) - 1),
+    np.dtype(np.int16): (-(1 << 15), (1 << 15) - 1),
+    np.dtype(np.int32): (-(1 << 31), (1 << 31) - 1),
+    np.dtype(np.int64): (-(1 << 63), (1 << 63) - 1),
+}
+
+
+def _frozen_saturate(values, dtype):
+    dt = np.dtype(dtype)
+    try:
+        lo, hi = _FROZEN_LIMITS[dt]
+    except KeyError:
+        raise ValueError("dtype") from None
+    return np.clip(values, lo, hi).astype(dt)
+
+
+def _frozen_push(v, value):
+    data = v.data
+    emit("vshift_elem", data.shape[0], data.itemsize)
+    out = np.empty_like(data)
+    out[1:] = data[:-1]
+    out[0] = value
+    return AieVector(out, _trusted=True)
+
+
+def _frozen_compare_exchange(v, distance, keep_min_mask):
+    partner = butterfly_partner(v, distance)
+    lo = v.min(partner)
+    hi = v.max(partner)
+    emit("vsel", v.data.shape[0], v.data.itemsize)
+    out = np.where(np.asarray(keep_min_mask, dtype=bool), lo.data, hi.data)
+    return AieVector(out, _trusted=True)
+
+
+def _outcome(fn, *args):
+    """``("ok", result)`` or ``("raise", exception type)``; a warning
+    counts as raising, so a new overflow warning is a difference."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return "ok", fn(*args)
+    except Exception as exc:  # compared by type below
+        return "raise", type(exc)
+
+
+def _assert_same_array(new, old):
+    assert type(new) is type(old)
+    assert new.dtype == old.dtype
+    assert np.shape(new) == np.shape(old)
+    assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+
+def _assert_same_outcome(new, old):
+    assert new[0] == old[0], (new, old)
+    if new[0] == "raise":
+        assert new[1] is old[1]
+        return
+    a, b = new[1], old[1]
+    if isinstance(b, Accum):
+        assert isinstance(a, Accum) and a.kind == b.kind
+        a, b = a.data, b.data
+    elif isinstance(b, AieVector):
+        assert isinstance(a, AieVector)
+        assert not a.data.flags.writeable
+        a, b = a.data, b.data
+    _assert_same_array(a, b)
+
+
+# ---------------------------------------------------------------------------
+# sliding_mac
+# ---------------------------------------------------------------------------
+
+_INT_DATA = [np.int8, np.int16, np.int32, np.int64,
+             np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _ints(data, dtype, n, extremes=False):
+    info = np.iinfo(dtype)
+    lo, hi = (info.min, info.max) if extremes else (
+        max(info.min, -(1 << 15)), min(info.max, 1 << 15))
+    return np.array(data.draw(st.lists(st.integers(lo, hi), min_size=n,
+                                       max_size=n)), dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    ddtype=st.sampled_from(_INT_DATA),
+    cdtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+    taps=st.sampled_from([2, 4, 8, 16]),
+    out_lanes=st.integers(1, 24),
+    start=st.integers(0, 6),
+    step=st.integers(1, 4),
+    acc_kind=st.sampled_from([None, "acc48", "acc80"]),
+    extremes=st.booleans(),
+    slack=st.integers(-1, 3),
+)
+def test_property_int_sliding_mac_matches_frozen_loop(
+        data, ddtype, cdtype, taps, out_lanes, start, step, acc_kind,
+        extremes, slack):
+    """Every integer width, signed and unsigned; int64 extremes that
+    wrap; steps 1-4, nonzero start, short data; acc48/acc80 or none."""
+    n = max(0, start + (out_lanes - 1) * step + taps + slack)
+    d = _ints(data, ddtype, n, extremes)
+    coeffs = aie.vec(_ints(data, cdtype, taps, extremes))
+    acc = None
+    if acc_kind is not None:
+        bound = (1 << 46) if acc_kind == "acc48" else (1 << 62)
+        acc = Accum(np.array(data.draw(st.lists(
+            st.integers(-bound, bound), min_size=out_lanes,
+            max_size=out_lanes)), dtype=np.int64), acc_kind)
+    _assert_same_outcome(
+        _outcome(aie.sliding_mac, acc, coeffs, d, out_lanes, start, step),
+        _outcome(_frozen_sliding_mac, acc, coeffs, d, out_lanes, start,
+                 step))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    ddtype=st.sampled_from([np.float32, np.float64, np.int16]),
+    cdtype=st.sampled_from([np.float32, np.float64, np.int16]),
+    taps=st.sampled_from([2, 4, 8]),
+    out_lanes=st.integers(1, 24),
+    start=st.integers(0, 6),
+    step=st.integers(1, 4),
+    layout=st.sampled_from(["contiguous", "strided", "reversed"]),
+    with_acc=st.booleans(),
+)
+def test_property_float_sliding_mac_matches_frozen_view(
+        data, ddtype, cdtype, taps, out_lanes, start, step, layout,
+        with_acc):
+    """Float data and/or taps, contiguous or non-contiguous input: the
+    same window view fed to the same matmul, so bit-identical."""
+    if np.dtype(ddtype).kind != "f" and np.dtype(cdtype).kind != "f":
+        ddtype = np.float32
+    n = start + (out_lanes - 1) * step + taps + data.draw(st.integers(0, 3))
+    floats = st.floats(-1e4, 1e4, width=32)
+    raw = np.array(data.draw(st.lists(floats, min_size=2 * n,
+                                      max_size=2 * n)), dtype=ddtype)
+    d = {"contiguous": raw[:n], "strided": raw[::2],
+         "reversed": raw[::-1][:n]}[layout]
+    c = np.array(data.draw(st.lists(floats, min_size=taps, max_size=taps)),
+                 dtype=cdtype)
+    acc = None
+    if with_acc:
+        acc = Accum(np.array(data.draw(st.lists(
+            floats, min_size=out_lanes, max_size=out_lanes)),
+            dtype=np.float32), "accfloat")
+    _assert_same_outcome(
+        _outcome(aie.sliding_mac, acc, aie.vec(c), d, out_lanes, start, step),
+        _outcome(_frozen_sliding_mac, acc, aie.vec(c), d, out_lanes, start,
+                 step))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.ones(8, dtype=np.complex64),
+    lambda: np.ones((8, 2), dtype=np.int16),
+    lambda: np.ones(3, dtype=np.int16),
+    lambda: np.ones(3, dtype=np.float32),
+])
+def test_sliding_mac_rejections_match_frozen(make):
+    taps = aie.vec([1, 2, 3, 4], dtype=np.int16)
+    _assert_same_outcome(_outcome(aie.sliding_mac, None, taps, make(), 4),
+                         _outcome(_frozen_sliding_mac, None, taps, make(), 4))
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+def test_sliding_mac_zero_outputs_match_frozen(dtype):
+    taps = aie.vec([1, 2, 3, 4], dtype=np.int16)
+    d = np.arange(8, dtype=dtype)
+    _assert_same_outcome(_outcome(aie.sliding_mac, None, taps, d, 0),
+                         _outcome(_frozen_sliding_mac, None, taps, d, 0))
+
+
+def test_sliding_mac_emit_unchanged():
+    taps = aie.vec([1, 2, 3, 4], dtype=np.int16)
+    for d in (np.arange(16, dtype=np.int64), np.arange(16.0)):
+        with TraceRecorder() as rec:
+            aie.sliding_mac(None, taps, d, 6, 1, 2)
+        kind = "vmac" if d.dtype.kind == "i" else "vfpmac"
+        width = 2 if kind == "vmac" else 4
+        assert [(o.op, o.lanes, o.ebytes) for o in rec.ops] == \
+            [(kind, 24, width)]
+
+
+# ---------------------------------------------------------------------------
+# round_shift / saturate
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    shift=st.integers(0, 62),
+    mode=st.sampled_from(RoundMode.ALL),
+)
+def test_property_round_shift_matches_frozen(data, shift, mode):
+    """Negatives, exact ties (+/-), int64 extremes, and a 0-d input."""
+    ties = [k * (1 << shift) + (1 << shift) // 2
+            for k in data.draw(st.lists(st.integers(-8, 8), max_size=6))]
+    ties = [t for t in ties if -(1 << 63) <= t < (1 << 63)]
+    plain = data.draw(st.lists(st.integers(-(1 << 63), (1 << 63) - 1),
+                               max_size=16))
+    edge = [-(1 << 63), (1 << 63) - 1, -1, 0, 1]
+    v = np.array(ties + [-t for t in ties if t > -(1 << 63)] + plain + edge,
+                 dtype=np.int64)
+    _assert_same_outcome(_outcome(round_shift, v, shift, mode),
+                         _outcome(_frozen_round_shift, v, shift, mode))
+    for s in (np.int64(data.draw(st.sampled_from(list(v)))), *edge):
+        _assert_same_outcome(_outcome(round_shift, s, shift, mode),
+                             _outcome(_frozen_round_shift, s, shift, mode))
+
+
+def test_round_shift_rejections_match_frozen():
+    v = np.arange(-4, 4, dtype=np.int64)
+    for shift, mode in ((-1, RoundMode.NEAREST), (3, "sideways")):
+        _assert_same_outcome(_outcome(round_shift, v, shift, mode),
+                             _outcome(_frozen_round_shift, v, shift, mode))
+
+
+_SIGNED = [np.int8, np.int16, np.int32, np.int64]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    src=st.sampled_from(_SIGNED),
+    dst=st.sampled_from(_SIGNED + [np.uint16, np.float32]),
+)
+def test_property_saturate_matches_frozen(data, src, dst):
+    """Every signed source and target width; unsupported targets raise
+    the same error."""
+    info = np.iinfo(src)
+    v = np.array(data.draw(st.lists(st.integers(info.min, info.max),
+                                    min_size=1, max_size=32))
+                 + [info.min, info.max], dtype=src)
+    _assert_same_outcome(_outcome(saturate, v, dst),
+                         _outcome(_frozen_saturate, v, dst))
+
+
+# ---------------------------------------------------------------------------
+# push / compare_exchange
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lanes", VALID_LANES)
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.float32, np.float64])
+def test_push_matches_frozen(lanes, dtype):
+    v = AieVector(np.arange(lanes).astype(dtype), _trusted=True)
+    for value in (dtype(7), 3, -2.75):
+        with TraceRecorder() as rec_new:
+            new = _outcome(v.push, value)
+        with TraceRecorder() as rec_old:
+            old = _outcome(_frozen_push, v, value)
+        _assert_same_outcome(new, old)
+        assert rec_new.ops == rec_old.ops
+        assert not np.shares_memory(new[1].data, v.data)
+    assert list(v.data) == list(np.arange(lanes).astype(dtype))
+
+
+@pytest.mark.parametrize("lanes", [n for n in VALID_LANES if n >= 2])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.float32])
+def test_compare_exchange_matches_frozen(lanes, dtype):
+    """Same lanes and the same four micro-ops (vshuffle, vmin, vmax,
+    vsel) in the same order, for every step of every stage."""
+    rng = np.random.default_rng(lanes)
+    v = AieVector(rng.integers(-99, 99, lanes).astype(dtype), _trusted=True)
+    for stage in range(lanes.bit_length() - 1):
+        for substage in range(stage + 1):
+            distance = 1 << (stage - substage)
+            mask = bitonic_stage_dirs(lanes, stage, substage)
+            with TraceRecorder() as rec_new:
+                new = _outcome(compare_exchange, v, distance, mask)
+            with TraceRecorder() as rec_old:
+                old = _outcome(_frozen_compare_exchange, v, distance, mask)
+            _assert_same_outcome(new, old)
+            assert rec_new.ops == rec_old.ops
+            assert [o.op for o in rec_new.ops] == \
+                ["vshuffle", "vmin", "vmax", "vsel"]
+            v = new[1]
+
+
+def test_compare_exchange_bad_distance_emits_nothing():
+    v = aie.iota(16, np.int32)
+    mask = bitonic_stage_dirs(16, 0, 0)
+    with TraceRecorder() as rec:
+        with pytest.raises(ValueError, match="butterfly distance"):
+            compare_exchange(v, 3, mask)
+    assert rec.ops == []
+
+
+# ---------------------------------------------------------------------------
+# errstate: the wrapping ops override numpy's ``over`` state only
+# ---------------------------------------------------------------------------
+
+
+_BIG = np.full(8, 3e38, dtype=np.float32)
+_OVERFLOWING = {
+    "add": lambda v: v + v,
+    "radd": lambda v: 3e38 + v,
+    "sub": lambda v: v - (-v.data),
+    "rsub": lambda v: -3e38 - v,
+    "mul": lambda v: v * 2,
+    "rmul": lambda v: 2 * v,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OVERFLOWING))
+def test_float_overflow_stays_silent(op):
+    v = AieVector(_BIG.copy(), _trusted=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _OVERFLOWING[op](v)
+    assert np.isinf(out.data).all()
+    with np.errstate(over="raise"):
+        out = _OVERFLOWING[op](v)
+        assert np.geterr()["over"] == "raise"
+    assert np.isinf(out.data).all()
+
+
+@pytest.mark.parametrize("op", [lambda v: v - v,
+                                lambda v: float("inf") - v,
+                                lambda v: v + (-v.data)],
+                         ids=["sub", "rsub", "add"])
+def test_caller_invalid_raise_still_raises(op):
+    v = AieVector(np.full(8, np.inf, dtype=np.float32), _trusted=True)
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            op(v)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(op(v).data).all()
+
+
+class _ErrProbe(np.ndarray):
+    """Lane data that records numpy's error state inside each ufunc."""
+
+    seen = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _ErrProbe.seen.append(dict(np.geterr()))
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("op", [lambda v: v + 1, lambda v: v - 1,
+                                lambda v: v * 2, lambda v: 1 - v,
+                                lambda v: -v, lambda v: v.abs()],
+                         ids=["add", "sub", "mul", "rsub", "neg", "abs"])
+def test_ops_override_only_over(op):
+    """Inside every wrapping op ``over`` is ignored, every other field
+    is the caller's, and the caller's state is back afterwards."""
+    v = AieVector(np.arange(8, dtype=np.int16).view(_ErrProbe),
+                  _trusted=True)
+    caller = dict(divide="raise", over="raise", under="warn",
+                  invalid="raise")
+    _ErrProbe.seen = []
+    with np.errstate(**caller):
+        op(v)
+        assert np.geterr() == caller
+    assert _ErrProbe.seen == [dict(caller, over="ignore")]
+
+
+def test_errstate_per_thread_stress():
+    """Threads with different caller error states share the one
+    decorator; each keeps its own state across thousands of ops."""
+    n_threads, rounds = 6, 300
+    failures = []
+    v = AieVector(np.arange(8, dtype=np.float32), _trusted=True)
+
+    def worker(k):
+        mine = "raise" if k % 2 else "ignore"
+        with np.errstate(invalid=mine, over="warn"):
+            for _ in range(rounds):
+                _ = -(v + v) * 2 - 1
+                _ = (1 - v).abs()
+                state = np.geterr()
+                if state["invalid"] != mine or state["over"] != "warn":
+                    failures.append((k, state))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert failures == []
