@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .shuffle import _butterfly_index
+from .shuffle import _butterfly_index, reverse
 from .tracing import emit
 from .vector import AieVector
 
@@ -37,6 +37,21 @@ def bitonic_stage_dirs(lanes: int, stage: int, substage: int) -> np.ndarray:
     return keep_min
 
 
+def _exchange(data: np.ndarray, idx: np.ndarray,
+              keep_min: np.ndarray) -> np.ndarray:
+    """One compare-exchange step on raw lanes: shuffle by *idx*, then
+    min where *keep_min*, else max.  Emits vshuffle, vmin, vmax, vsel."""
+    lanes, ebytes = data.shape[0], data.itemsize
+    emit("vshuffle", lanes, ebytes)
+    emit("vmin", lanes, ebytes)
+    emit("vmax", lanes, ebytes)
+    emit("vsel", lanes, ebytes)
+    partner = data[idx]
+    out = np.maximum(data, partner)
+    np.minimum(data, partner, out=out, where=keep_min)
+    return out
+
+
 def compare_exchange(v: AieVector, distance: int,
                      keep_min_mask: np.ndarray) -> AieVector:
     """One compare-exchange step across lane pairs at XOR *distance*.
@@ -44,39 +59,40 @@ def compare_exchange(v: AieVector, distance: int,
     Lane i is paired with lane ``i ^ distance``; where the mask is True
     the lane keeps min(pair), else max(pair).  Maps to a shuffle + vmin +
     vmax + select on hardware, and emits those four micro-ops in that
-    order; the intermediate registers stay raw lane arrays.
+    order.
     """
     data = v.data
-    lanes, ebytes = data.shape[0], data.itemsize
-    idx = _butterfly_index(lanes, distance)
-    emit("vshuffle", lanes, ebytes)
-    partner = data[idx]
-    emit("vmin", lanes, ebytes)
-    lo = np.minimum(data, partner)
-    emit("vmax", lanes, ebytes)
-    hi = np.maximum(data, partner)
-    emit("vsel", lanes, ebytes)
-    out = np.where(np.asarray(keep_min_mask, dtype=bool), lo, hi)
-    return AieVector(out, _trusted=True)
+    idx = _butterfly_index(data.shape[0], distance)
+    return AieVector(
+        _exchange(data, idx, np.asarray(keep_min_mask, dtype=bool)),
+        _trusted=True)
+
+
+@lru_cache(maxsize=None)
+def _bitonic_steps(lanes: int) -> tuple:
+    """``(butterfly index, keep-min mask)`` of every step of the
+    *lanes*-wide network, in order, built once per lane count."""
+    return tuple(
+        (_butterfly_index(lanes, 1 << (stage - substage)),
+         bitonic_stage_dirs(lanes, stage, substage))
+        for stage in range(lanes.bit_length() - 1)
+        for substage in range(stage + 1))
 
 
 def bitonic_sort_vector(v: AieVector, descending: bool = False) -> AieVector:
     """Full bitonic sorting network over one vector register.
 
     For 16 lanes this is the 10-step network of the AMD example
-    (stages 1+2+3+4 compare-exchange steps).
+    (stages 1+2+3+4 compare-exchange steps).  The steps run on raw lane
+    arrays; only the sorted lanes are wrapped.
     """
     lanes = v.lanes
     if lanes & (lanes - 1):
         raise ValueError("bitonic sort needs a power-of-two lane count")
-    n_stages = lanes.bit_length() - 1
-    for stage in range(n_stages):
-        for substage in range(stage + 1):
-            distance = 1 << (stage - substage)
-            mask = bitonic_stage_dirs(lanes, stage, substage)
-            v = compare_exchange(v, distance, mask)
+    data = v.data
+    for idx, keep_min in _bitonic_steps(lanes):
+        data = _exchange(data, idx, keep_min)
+    v = AieVector(data, _trusted=True)
     if descending:
-        from .shuffle import reverse
-
         v = reverse(v)
     return v

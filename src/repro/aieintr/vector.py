@@ -19,7 +19,6 @@ manager each call, results are cast with ``astype(copy=False)``, and
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
@@ -34,6 +33,10 @@ VALID_LANES = (2, 4, 8, 16, 32, 64)
 
 _INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
+#: Allocates a vector without running ``__init__``: ``push`` builds and
+#: freezes its lanes itself, once per element of a stream.
+_new_vector = object.__new__
+
 
 def _check_lanes(lanes: int) -> None:
     if lanes not in VALID_LANES:
@@ -42,14 +45,24 @@ def _check_lanes(lanes: int) -> None:
         )
 
 
-@lru_cache(maxsize=64)
-def _push_index(lanes: int) -> np.ndarray:
+def _push_table(lanes: int) -> np.ndarray:
     """Read-only ``[0, 0, 1, ..., lanes-2]`` gather table for ``push``."""
     idx = np.arange(-1, lanes - 1)
     idx[0] = 0
     idx.setflags(write=False)
     return idx
 
+
+class _LaneTables(dict):
+    """``push`` gather tables by lane count: filled once for
+    :data:`VALID_LANES`; any other width is built on first use."""
+
+    def __missing__(self, lanes: int) -> np.ndarray:
+        idx = self[lanes] = _push_table(lanes)
+        return idx
+
+
+_PUSH_INDEX = _LaneTables((n, _push_table(n)) for n in VALID_LANES)
 
 #: Element-type wrap-around is the vector ALU's overflow behaviour, so
 #: arithmetic ops silence numpy's overflow warning (and only that one).
@@ -137,9 +150,12 @@ class AieVector:
         """
         data = self.data
         emit("vshift_elem", data.shape[0], data.itemsize)
-        out = data[_push_index(data.shape[0])]
+        out = data[_PUSH_INDEX[data.shape[0]]]
         out[0] = value
-        return AieVector(out, _trusted=True)
+        out.setflags(write=False)
+        res = _new_vector(AieVector)
+        res.data = out
+        return res
 
     # -- elementwise arithmetic --------------------------------------------------------
 

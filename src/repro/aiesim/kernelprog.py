@@ -17,6 +17,7 @@ steady-state body.
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -33,21 +34,6 @@ __all__ = ["Segment", "KernelProgram", "build_kernel_program",
 
 class _TraceEnd(Exception):
     """Raised inside the shim when the input budget is exhausted."""
-
-
-class _ImmediateValue:
-    """Awaitable resolving synchronously (trace capture never blocks)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __await__(self):
-        return self.fn()
-        yield  # pragma: no cover — marks this function as a generator
-
-    __iter__ = __await__
 
 
 class TraceReadPort(KernelReadPort):
@@ -79,8 +65,10 @@ class TraceReadPort(KernelReadPort):
         emit("stream_rd", 1, spec.dtype.nbytes, port=spec.name)
         return spec.dtype.zero()
 
+    @types.coroutine
     def get(self):
-        return _ImmediateValue(self._next)
+        return self._next()
+        yield  # pragma: no cover — a generator; trace capture never blocks
 
     def try_get(self):
         return True, self._next()
@@ -120,8 +108,10 @@ class TraceWritePort(KernelWritePort):
             emit("stream_wr", 1, spec.dtype.nbytes, port=spec.name)
         return None
 
+    @types.coroutine
     def put(self, value):
-        return _ImmediateValue(lambda: self._store(value))
+        return self._store(value)
+        yield  # pragma: no cover — a generator; trace capture never blocks
 
     def try_put(self, value):
         self._store(value)

@@ -141,7 +141,7 @@ class FusedLink:
     # Chain-internal buffers are never poisoned: a failing member takes
     # its whole driver down, and containment acts on the chain's real
     # boundary queues.  The class-level flag satisfies the port
-    # awaitables' slow-path poison check at zero per-instance cost.
+    # ops' slow-path poison check at zero per-instance cost.
     poisoned = False
     poison_origin = ""
 

@@ -17,15 +17,19 @@ parameterised ports meet on one :class:`~repro.core.connectors.IoConnector`,
 their settings are merged; conflicts raise :class:`PortSettingsError` at
 build time, the analog of the paper's compile-time error.
 
-At runtime, ports are bound to broadcast queues and expose awaitable
-``get()`` / ``put()`` operations whose fast path completes without a
-scheduler round-trip — the property behind cgsim's low synchronisation
-overhead measured in §5.2.
+At runtime, ports are bound to broadcast queues.  Every port op
+(``get``, ``put``, ``get_batch``, ``put_batch``) is a ``types.coroutine``
+generator, so ``await port.get()`` is one generator step: a ready op
+returns without yielding — no scheduler round-trip, the property behind
+cgsim's low synchronisation overhead measured in §5.2 — and a blocked op
+yields its park command (``("rd", queue, idx)`` / ``("wr", queue, -1)``,
+plus a partial-progress count for batches) straight to the scheduler.
 """
 
 from __future__ import annotations
 
 import enum
+import types
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
@@ -212,141 +216,26 @@ Out = _PortFactory(PortDirection.WRITE)
 # ---------------------------------------------------------------------------
 
 
-class _GetAwaitable:
-    """Awaitable returned by :meth:`KernelReadPort.get`.
-
-    Fast path: if data is already available the value is returned without
-    yielding to the scheduler (zero context-switch cost).  Slow path: the
-    coroutine yields a park request and is re-driven once a producer
-    pushes data.
-    """
-
-    __slots__ = ("port",)
-
-    def __init__(self, port: "KernelReadPort"):
-        self.port = port
-
-    def __await__(self):
-        port = self.port
-        while True:
-            ok, value = port._queue.try_get(port._consumer_idx)
-            if ok:
-                port._items += 1
-                return value
-            # Poison is observed only here, on the blocking slow path:
-            # buffered data drains first, then the read that would have
-            # parked forever terminates the consumer instead.
-            if port._queue.poisoned:
-                q = port._queue
-                raise PoisonSignal(q.name, q.poison_origin)
-            yield ("rd", port._queue, port._consumer_idx)
-
-    # Allow use from plain generators in tests: iter(awaitable)
-    __iter__ = __await__
-
-
-class _PutAwaitable:
-    """Awaitable returned by :meth:`KernelWritePort.put`."""
-
-    __slots__ = ("port", "value")
-
-    def __init__(self, port: "KernelWritePort", value: Any):
-        self.port = port
-        self.value = value
-
-    def __await__(self):
-        port = self.port
-        value = self.value
-        if port._validate:
-            value = port.dtype.validate(value)
-        while True:
-            if port._queue.try_put(value):
-                port._items += 1
-                return None
-            yield ("wr", port._queue, -1)
-
-    __iter__ = __await__
-
-
-class _GetBatchAwaitable:
-    """Awaitable returned by :meth:`KernelReadPort.get_batch`.
-
-    Pulls elements through the queue's bulk ring operation, moving a
-    contiguous run per call.  Partial progress is carried across
-    suspensions, and the park command's fourth field reports how many
-    elements were already collected — the batch therefore blocks at most
-    once per queue-empty transition rather than once per element.
-
-    ``exact=True`` resolves to exactly *n* elements; ``exact=False``
-    resolves to whatever is available (at least one element), which is
-    the safe mode for stream tails of unknown length (sinks).
-    """
-
-    __slots__ = ("port", "n", "exact")
-
-    def __init__(self, port: "KernelReadPort", n: int, exact: bool):
-        self.port = port
-        self.n = n
-        self.exact = exact
-
-    def __await__(self):
-        port = self.port
-        queue = port._queue
-        idx = port._consumer_idx
-        n = self.n
-        exact = self.exact
-        out: list = []
-        while True:
-            got = queue.try_get_many(idx, n - len(out))
-            if got:
-                out.extend(got)
-                if len(out) == n or not exact:
-                    port._items += len(out)
-                    return out
-                continue
-            if out and not exact:
+@types.coroutine
+def _get_batch(port: "KernelReadPort", n: int, exact: bool):
+    """The body of :meth:`KernelReadPort.get_batch`."""
+    queue = port._queue
+    idx = port._consumer_idx
+    out: list = []
+    while True:
+        got = queue.try_get_many(idx, n - len(out))
+        if got:
+            out.extend(got)
+            if len(out) == n or not exact:
                 port._items += len(out)
                 return out
-            if queue.poisoned:
-                raise PoisonSignal(queue.name, queue.poison_origin)
-            yield ("rd", queue, idx, len(out))
-
-    __iter__ = __await__
-
-
-class _PutBatchAwaitable:
-    """Awaitable returned by :meth:`KernelWritePort.put_batch`.
-
-    Pushes the whole sequence through the queue's bulk ring operation;
-    when the ring fills mid-batch the park command carries the count of
-    elements already delivered, and the remainder resumes from that
-    offset — one suspension per queue-full transition.
-    """
-
-    __slots__ = ("port", "values")
-
-    def __init__(self, port: "KernelWritePort", values):
-        self.port = port
-        self.values = values
-
-    def __await__(self):
-        port = self.port
-        values = self.values
-        if port._validate:
-            values = [port.dtype.validate(v) for v in values]
-        elif not isinstance(values, (list, tuple)):
-            values = list(values)
-        queue = port._queue
-        total = len(values)
-        pos = 0
-        while pos < total:
-            pos += queue.try_put_many(values, pos)
-            if pos < total:
-                yield ("wr", queue, -1, pos)
-        port._items += total
-        return None
-
-    __iter__ = __await__
+            continue
+        if out and not exact:
+            port._items += len(out)
+            return out
+        if queue.poisoned:
+            raise PoisonSignal(queue.name, queue.poison_origin)
+        yield ("rd", queue, idx, len(out))
 
 
 class KernelReadPort:
@@ -366,21 +255,46 @@ class KernelReadPort:
         self._consumer_idx = consumer_idx
         self._items = 0
 
-    def get(self) -> _GetAwaitable:
-        """Awaitable that resolves to the next element on this stream."""
-        return _GetAwaitable(self)
+    @types.coroutine
+    def get(self):
+        """Resolve to the next element on this stream.
 
-    def get_batch(self, n: int, *, exact: bool = True) -> _GetBatchAwaitable:
-        """Awaitable that resolves to a list of stream elements.
+        A ready element returns without yielding (no scheduler
+        round-trip); an empty queue parks the kernel with
+        ``("rd", queue, consumer_idx)`` and the read retries on resume.
+        Poison is observed only on that blocking path: buffered data
+        drains first, then the read that would have parked forever
+        terminates the consumer instead.
+        """
+        queue = self._queue
+        idx = self._consumer_idx
+        while True:
+            ok, value = queue.try_get(idx)
+            if ok:
+                self._items += 1
+                return value
+            if queue.poisoned:
+                raise PoisonSignal(queue.name, queue.poison_origin)
+            yield ("rd", queue, idx)
+
+    def get_batch(self, n: int, *, exact: bool = True):
+        """Resolve to a list of stream elements.
 
         ``exact=True`` (default) waits for exactly *n* elements — the
         form for kernels with a fixed block structure.  ``exact=False``
         resolves as soon as at least one element is available, returning
         up to *n* — the form for consumers that must drain stream tails.
+
+        Elements move through the queue's bulk ring operation, a
+        contiguous run per call.  Partial progress is carried across
+        suspensions and the park command's fourth field reports how many
+        elements were already collected, so the batch blocks at most
+        once per queue-empty transition rather than once per element.
+        A batch size below one raises here, not when awaited.
         """
         if n < 1:
             raise StreamTypeError(f"batch size must be >= 1, got {n}")
-        return _GetBatchAwaitable(self, n, exact)
+        return _get_batch(self, n, exact)
 
     def try_get(self):
         """Non-blocking read: ``(True, value)`` or ``(False, None)``."""
@@ -410,15 +324,40 @@ class KernelWritePort:
         self._validate = validate
         self._items = 0
 
-    def put(self, value: Any) -> _PutAwaitable:
-        """Awaitable that completes once *value* is enqueued downstream."""
-        return _PutAwaitable(self, value)
+    @types.coroutine
+    def put(self, value: Any):
+        """Complete once *value* is enqueued downstream.
 
-    def put_batch(self, values) -> _PutBatchAwaitable:
-        """Awaitable that completes once every element of *values* is
-        enqueued downstream (bulk ring writes, one suspension per
-        queue-full transition)."""
-        return _PutBatchAwaitable(self, values)
+        A queue with room takes the value without yielding; a full one
+        parks the kernel with ``("wr", queue, -1)``.  ``validate`` ports
+        check the value when the op is awaited.
+        """
+        if self._validate:
+            value = self.dtype.validate(value)
+        queue = self._queue
+        while not queue.try_put(value):
+            yield ("wr", queue, -1)
+        self._items += 1
+
+    @types.coroutine
+    def put_batch(self, values):
+        """Complete once every element of *values* is enqueued
+        downstream: bulk ring writes; when the ring fills mid-batch the
+        park command ``("wr", queue, -1, delivered)`` carries the count
+        already written and the remainder resumes from that offset — one
+        suspension per queue-full transition."""
+        if self._validate:
+            values = [self.dtype.validate(v) for v in values]
+        elif not isinstance(values, (list, tuple)):
+            values = list(values)
+        queue = self._queue
+        total = len(values)
+        pos = 0
+        while pos < total:
+            pos += queue.try_put_many(values, pos)
+            if pos < total:
+                yield ("wr", queue, -1, pos)
+        self._items += total
 
     def try_put(self, value: Any) -> bool:
         """Non-blocking write; returns False when the queue is full."""

@@ -11,8 +11,9 @@ paper (§3.8, footnote 2).
 
 Design notes
 ------------
-* The *fast path* of a stream access never reaches the scheduler: port
-  awaitables try the queue inline and only yield when they must block.
+* The *fast path* of a stream access never reaches the scheduler: every
+  port op is a ``types.coroutine`` generator that tries the queue inline
+  and yields its park command only when it must block.
   Context switches therefore happen only on genuinely full/empty queues.
   This is what keeps synchronisation overhead at the sub-0.1% level the
   paper measures with perf (§5.2).
@@ -25,6 +26,7 @@ Design notes
 from __future__ import annotations
 
 import enum
+import types
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -79,21 +81,12 @@ class Task:
         return f"<Task {self.name} {self.kind} {self.state.value}>"
 
 
-class _YieldAwaitable:
-    """Voluntary yield: reschedule the current task at the back of the
-    ready deque.  Compute-only kernels use this to stay cooperative."""
-
-    __slots__ = ()
-
-    def __await__(self):
-        yield ("yield", None, -1)
-
-    __iter__ = __await__
-
-
-def sched_yield() -> _YieldAwaitable:
-    """``await sched_yield()`` — give other kernels a turn."""
-    return _YieldAwaitable()
+@types.coroutine
+def sched_yield():
+    """``await sched_yield()`` — give other kernels a turn: the current
+    task is rescheduled at the back of the ready deque.  Compute-only
+    kernels use this to stay cooperative."""
+    yield ("yield", None, -1)
 
 
 @dataclass
@@ -123,7 +116,7 @@ class CooperativeScheduler:
     """FIFO cooperative scheduler over framework coroutines.
 
     Coroutines communicate with the scheduler through yielded commands
-    emitted by the port awaitables:
+    yielded by the port ops:
 
     ``("rd", queue, consumer_idx)``
         park on ``queue.read_waiters[consumer_idx]`` until data arrives.
@@ -186,7 +179,7 @@ class CooperativeScheduler:
         """Move every parked task in *waiters* to the ready deque.
 
         Called by queues on puts/gets.  Spurious wakeups are harmless:
-        awaitables re-check their queue and re-park if still blocked.
+        port ops re-check their queue and re-park if still blocked.
         """
         tracer = self.tracer
         if tracer is not None and waiters:
@@ -308,7 +301,7 @@ class CooperativeScheduler:
                 # Re-check under "lock" (single thread, so: after send
                 # returned).  A producer may have pushed between the failed
                 # try_get and the yield reaching us only in re-entrant
-                # scenarios; the awaitable retries on resume either way.
+                # scenarios; the op retries on resume either way.
                 task.state = TaskState.BLOCKED_READ
                 task.blocked_on = (queue, "read", idx)
                 queue.read_waiters[idx].append(task)

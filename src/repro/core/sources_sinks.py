@@ -21,6 +21,7 @@ global-input order, then sinks in global-output order (§3.7).
 
 from __future__ import annotations
 
+import types
 from itertools import chain, islice
 from typing import Any, Iterator, List, Optional, Sequence
 
@@ -62,110 +63,50 @@ class RuntimeParam:
         return f"RuntimeParam({self.value!r})"
 
 
-class _QueuePut:
-    """Queue-level awaitable put (used by source coroutines, which have
-    no kernel port object)."""
-
-    __slots__ = ("queue", "value")
-
-    def __init__(self, queue: BroadcastQueue, value: Any):
-        self.queue = queue
-        self.value = value
-
-    def __await__(self):
-        queue = self.queue
-        value = self.value
-        while True:
-            if queue.try_put(value):
-                return None
-            yield ("wr", queue, -1)
-
-    __iter__ = __await__
+@types.coroutine
+def queue_put(queue: BroadcastQueue, value: Any):
+    """Queue-level put, for coroutines with no kernel port object."""
+    while not queue.try_put(value):
+        yield ("wr", queue, -1)
 
 
-class _QueueGet:
-    """Queue-level awaitable get (used by sink coroutines)."""
-
-    __slots__ = ("queue", "consumer_idx")
-
-    def __init__(self, queue: BroadcastQueue, consumer_idx: int):
-        self.queue = queue
-        self.consumer_idx = consumer_idx
-
-    def __await__(self):
-        queue = self.queue
-        idx = self.consumer_idx
-        while True:
-            ok, value = queue.try_get(idx)
-            if ok:
-                return value
-            # Buffered data drains before a poisoned stream terminates
-            # its sink (slow path only; see BroadcastQueue.poison).
-            if queue.poisoned:
-                raise PoisonSignal(queue.name, queue.poison_origin)
-            yield ("rd", queue, idx)
-
-    __iter__ = __await__
+@types.coroutine
+def queue_get(queue: BroadcastQueue, consumer_idx: int):
+    """Queue-level get; buffered data drains before a poisoned stream
+    terminates the reader (slow path only; see BroadcastQueue.poison)."""
+    while True:
+        ok, value = queue.try_get(consumer_idx)
+        if ok:
+            return value
+        if queue.poisoned:
+            raise PoisonSignal(queue.name, queue.poison_origin)
+        yield ("rd", queue, consumer_idx)
 
 
-class _QueuePutMany:
-    """Queue-level awaitable bulk put: delivers the whole sequence,
-    resuming from the partial-progress offset after each park (the
-    batched-I/O fast path for source coroutines)."""
-
-    __slots__ = ("queue", "values")
-
-    def __init__(self, queue: BroadcastQueue, values):
-        self.queue = queue
-        self.values = values
-
-    def __await__(self):
-        queue = self.queue
-        values = self.values
-        total = len(values)
-        pos = 0
-        while pos < total:
-            pos += queue.try_put_many(values, pos)
-            if pos < total:
-                yield ("wr", queue, -1, pos)
-        return None
-
-    __iter__ = __await__
+@types.coroutine
+def _queue_put_many(queue: BroadcastQueue, values):
+    """Bulk put of the whole sequence, resuming from the
+    partial-progress offset after each park (the source coroutines)."""
+    total = len(values)
+    pos = 0
+    while pos < total:
+        pos += queue.try_put_many(values, pos)
+        if pos < total:
+            yield ("wr", queue, -1, pos)
 
 
-class _QueueGetUpTo:
-    """Queue-level awaitable bulk get: resolves to 1..max_n elements —
-    whatever one contiguous run yields (the batched-I/O fast path for
-    sink coroutines, which must drain stream tails of unknown length)."""
-
-    __slots__ = ("queue", "consumer_idx", "max_n")
-
-    def __init__(self, queue: BroadcastQueue, consumer_idx: int, max_n: int):
-        self.queue = queue
-        self.consumer_idx = consumer_idx
-        self.max_n = max_n
-
-    def __await__(self):
-        queue = self.queue
-        idx = self.consumer_idx
-        max_n = self.max_n
-        while True:
-            out = queue.try_get_many(idx, max_n)
-            if out:
-                return out
-            if queue.poisoned:
-                raise PoisonSignal(queue.name, queue.poison_origin)
-            yield ("rd", queue, idx, 0)
-
-    __iter__ = __await__
-
-
-def queue_put(queue: BroadcastQueue, value: Any) -> _QueuePut:
-    return _QueuePut(queue, value)
-
-
-def queue_get(queue: BroadcastQueue, consumer_idx: int) -> _QueueGet:
-    return _QueueGet(queue, consumer_idx)
+@types.coroutine
+def _queue_get_up_to(queue: BroadcastQueue, consumer_idx: int, max_n: int):
+    """Bulk get of 1..max_n elements — whatever one contiguous run
+    yields (the sink coroutines, which must drain stream tails of
+    unknown length)."""
+    while True:
+        out = queue.try_get_many(consumer_idx, max_n)
+        if out:
+            return out
+        if queue.poisoned:
+            raise PoisonSignal(queue.name, queue.poison_origin)
+        yield ("rd", queue, consumer_idx, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +204,7 @@ def iter_stream_values(dtype: StreamType, data: Any,
 
 async def _source_coro(queue: BroadcastQueue, chunks: Iterator[List[Any]]):
     for chunk in chunks:
-        await _QueuePutMany(queue, chunk)
+        await _queue_put_many(queue, chunk)
 
 
 def make_source(queue: BroadcastQueue, dtype: StreamType, data: Any,
@@ -362,7 +303,7 @@ class ArraySinkCursor:
 async def _sink_coro(queue: BroadcastQueue, consumer_idx: int, store_many,
                      batch: int):
     while True:
-        store_many(await _QueueGetUpTo(queue, consumer_idx, batch))
+        store_many(await _queue_get_up_to(queue, consumer_idx, batch))
 
 
 def sink_store(dtype: StreamType, container: Any):

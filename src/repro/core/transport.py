@@ -6,7 +6,7 @@ implementation — the cooperative in-process ring
 channel (:class:`~repro.x86sim.channels.ThreadedBroadcastQueue`), or the
 cross-process shared-memory ring (:class:`~repro.mp.shm_ring.ShmRing`).
 Historically each engine hard-coded its own class; this module names the
-surface they all share so engines, the batched port-I/O awaitables, the
+surface they all share so engines, the batched port-I/O ops, the
 fault-injection proxies, and diagnostics can be written once against the
 protocol:
 

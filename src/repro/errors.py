@@ -91,8 +91,8 @@ class PoisonSignal(GraphRuntimeError):
     """A task consumed *poison*: an upstream kernel failed under the
     ``on_error="poison"`` policy and its output streams were marked so
     dependents terminate at the exact point the data ends (§ fault
-    semantics, docs/FAULTS.md).  Raised out of the port awaitables on
-    the blocking slow path only — a stream delivers all buffered data
+    semantics, docs/FAULTS.md).  Raised out of the port ops on the
+    blocking slow path only — a stream delivers all buffered data
     before the poison is observed."""
 
     def __init__(self, queue: str = "", origin: str = ""):

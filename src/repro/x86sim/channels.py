@@ -142,7 +142,7 @@ class ThreadedBroadcastQueue:
         """Bulk variant of :meth:`try_put`: append a contiguous run of
         ``values[start:]``, as many as fit, returning the count written
         (0 when full).  Same surface as the cooperative queue, so
-        batched port awaitables work unchanged under threads."""
+        batched port ops work unchanged under threads."""
         n_values = len(values) - start
         if n_values <= 0:
             return 0

@@ -23,8 +23,12 @@ from repro import aieintr as aie
 from repro.aieintr import tracing
 from repro.aieintr.accum import Accum
 from repro.aieintr.fixedpoint import RoundMode, round_shift, saturate
-from repro.aieintr.shuffle import _butterfly_index, butterfly_partner
-from repro.aieintr.sortops import bitonic_stage_dirs, compare_exchange
+from repro.aieintr.shuffle import _butterfly_index, butterfly_partner, reverse
+from repro.aieintr.sortops import (
+    bitonic_sort_vector,
+    bitonic_stage_dirs,
+    compare_exchange,
+)
 from repro.aieintr.tracing import TraceRecorder, active_recorder, emit
 from repro.aieintr.vector import VALID_LANES, AieVector
 
@@ -597,6 +601,126 @@ def test_compare_exchange_bad_distance_emits_nothing():
         with pytest.raises(ValueError, match="butterfly distance"):
             compare_exchange(v, 3, mask)
     assert rec.ops == []
+
+
+# ---------------------------------------------------------------------------
+# the sorting network on raw lanes
+# ---------------------------------------------------------------------------
+
+
+def _frozen_lane_compare_exchange(v, distance, keep_min_mask):
+    """``compare_exchange`` before the sort ran on raw lanes."""
+    data = v.data
+    lanes, ebytes = data.shape[0], data.itemsize
+    idx = _butterfly_index(lanes, distance)
+    emit("vshuffle", lanes, ebytes)
+    partner = data[idx]
+    emit("vmin", lanes, ebytes)
+    lo = np.minimum(data, partner)
+    emit("vmax", lanes, ebytes)
+    hi = np.maximum(data, partner)
+    emit("vsel", lanes, ebytes)
+    out = np.where(np.asarray(keep_min_mask, dtype=bool), lo, hi)
+    return AieVector(out, _trusted=True)
+
+
+def _frozen_bitonic_sort_vector(v, descending=False):
+    lanes = v.lanes
+    if lanes & (lanes - 1):
+        raise ValueError("bitonic sort needs a power-of-two lane count")
+    n_stages = lanes.bit_length() - 1
+    for stage in range(n_stages):
+        for substage in range(stage + 1):
+            distance = 1 << (stage - substage)
+            mask = bitonic_stage_dirs(lanes, stage, substage)
+            v = _frozen_lane_compare_exchange(v, distance, mask)
+    if descending:
+        v = reverse(v)
+    return v
+
+
+_SORT_INTS = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+_SORT_DTYPES = [np.float32, np.float64] + _SORT_INTS
+_SPECIALS = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf]
+
+
+def _lanes_of(data, dtype, lanes):
+    """*lanes* values of *dtype*: full-range integers, or floats mixed
+    with NaN (both signs), signed zeros and infinities."""
+    if dtype in _SORT_INTS:
+        info = np.iinfo(dtype)
+        return np.array(data.draw(st.lists(
+            st.integers(int(info.min), int(info.max)),
+            min_size=lanes, max_size=lanes)), dtype=dtype)
+    width = 32 if dtype is np.float32 else 64
+    values = st.one_of(st.sampled_from(_SPECIALS),
+                       st.floats(width=width, allow_nan=True))
+    return np.array(data.draw(st.lists(values, min_size=lanes,
+                                       max_size=lanes)), dtype=dtype)
+
+
+def _traced(fn, *args, **kwargs):
+    with TraceRecorder() as rec:
+        out = fn(*args, **kwargs)
+    return out, rec.ops
+
+
+def _assert_same_vector(new, old):
+    assert isinstance(new, AieVector)
+    assert not new.data.flags.writeable
+    _assert_same_array(new.data, old.data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       lanes=st.sampled_from(VALID_LANES),
+       dtype=st.sampled_from(_SORT_DTYPES),
+       descending=st.booleans())
+def test_property_bitonic_sort_matches_frozen(data, lanes, dtype,
+                                              descending):
+    v = AieVector(_lanes_of(data, dtype, lanes), _trusted=True)
+    before = v.data.tobytes()
+    new, new_ops = _traced(bitonic_sort_vector, v, descending=descending)
+    old, old_ops = _traced(_frozen_bitonic_sort_vector, v, descending)
+    _assert_same_vector(new, old)
+    assert new_ops == old_ops
+    assert v.data.tobytes() == before
+    assert not np.shares_memory(new.data, v.data)
+
+
+_MASK_FORMS = {
+    "bool array": lambda m: np.array(m, dtype=bool),
+    "bool list": lambda m: [bool(x) for x in m],
+    "int list": lambda m: [int(x) for x in m],
+    "int array": lambda m: np.array(m, dtype=np.int64) * 3,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       lanes=st.sampled_from(VALID_LANES),
+       dtype=st.sampled_from(_SORT_DTYPES),
+       form=st.sampled_from(sorted(_MASK_FORMS)))
+def test_property_compare_exchange_matches_frozen(data, lanes, dtype, form):
+    v = AieVector(_lanes_of(data, dtype, lanes), _trusted=True)
+    distance = 1 << data.draw(st.integers(0, lanes.bit_length() - 2))
+    mask = _MASK_FORMS[form](data.draw(st.lists(
+        st.booleans(), min_size=lanes, max_size=lanes)))
+    new, new_ops = _traced(compare_exchange, v, distance, mask)
+    old, old_ops = _traced(_frozen_lane_compare_exchange, v, distance, mask)
+    _assert_same_vector(new, old)
+    assert new_ops == old_ops
+    assert [o.op for o in new_ops] == ["vshuffle", "vmin", "vmax", "vsel"]
+
+
+def test_bitonic_sort_rejects_non_power_of_two_like_frozen():
+    v = AieVector(np.arange(12, dtype=np.int32), _trusted=True)
+    for fn in (bitonic_sort_vector, _frozen_bitonic_sort_vector):
+        with TraceRecorder() as rec:
+            with pytest.raises(ValueError, match="power-of-two"):
+                fn(v)
+        assert rec.ops == []
 
 
 # ---------------------------------------------------------------------------
