@@ -2,22 +2,26 @@
 
 The cycle-approximate simulator is trace driven: each kernel runs
 functionally once (fed synthetic zero data) under a
-:class:`~repro.aieintr.tracing.TraceRecorder` while shim ports record
-every stream/window access as an I/O micro-op.  The trace is split into
-a one-time *init* section and the steady-state *loop body* (one graph
-iteration == one block), and each compute span is packed into VLIW
-cycles by the :class:`~repro.aiesim.timing.CycleModel`.
+:class:`~repro.aieintr.tracing.TraceRecorder`.  Its ports are the
+ordinary :class:`~repro.core.ports.KernelReadPort` /
+``KernelWritePort``, each over a private trace transport that records
+every stream/window/RTP element it moves as an I/O micro-op, so
+per-element and batched port ops are traced alike.  The trace is split
+into a one-time *init* section and the steady-state *loop body* (one
+graph iteration == one block), and each compute span is packed into
+VLIW cycles by the :class:`~repro.aiesim.timing.CycleModel`.
 
 Body detection uses the capture-diff method: the kernel is traced with
 exactly one block of input and again with two; since cgsim kernels are
 ``while True`` loops with data-independent control flow, the suffix of
 the two-block trace beyond the one-block trace is exactly one
-steady-state body.
+steady-state body.  A bulk read returns at most the rest of the current
+block (one block per read call), which keeps a batched kernel at one
+block per iteration; an exact batch larger than that is an error.
 """
 
 from __future__ import annotations
 
-import types
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -33,45 +37,7 @@ __all__ = ["Segment", "KernelProgram", "build_kernel_program",
 
 
 class _TraceEnd(Exception):
-    """Raised inside the shim when the input budget is exhausted."""
-
-
-class TraceReadPort(KernelReadPort):
-    """Shim read port: yields synthetic data, emits I/O micro-ops."""
-
-    __slots__ = ("budget", "_spec_is_window", "_is_rtp", "rtp_value")
-
-    def __init__(self, spec: PortSpec, budget: int, rtp_value: Any = 0):
-        super().__init__(spec, queue=None, consumer_idx=0)
-        self.budget = budget
-        self._spec_is_window = isinstance(spec.dtype, WindowType)
-        self._is_rtp = spec.settings.runtime_parameter
-        self.rtp_value = rtp_value
-
-    def _next(self):
-        spec = self.spec
-        if self._is_rtp:
-            emit("rtp_rd", 1, spec.dtype.nbytes, port=spec.name)
-            return self.rtp_value
-        if self.budget <= 0:
-            raise _TraceEnd()
-        self.budget -= 1
-        if self._spec_is_window:
-            dt: WindowType = spec.dtype  # type: ignore[assignment]
-            emit("win_rd", dt.count, dt.base.nbytes, port=spec.name)
-            # Loading the acquired buffer into registers costs ld issues.
-            emit("vld", dt.count, dt.base.nbytes)
-            return dt.zero()
-        emit("stream_rd", 1, spec.dtype.nbytes, port=spec.name)
-        return spec.dtype.zero()
-
-    @types.coroutine
-    def get(self):
-        return self._next()
-        yield  # pragma: no cover — a generator; trace capture never blocks
-
-    def try_get(self):
-        return True, self._next()
+    """Raised inside a trace transport when its input budget is spent."""
 
 
 #: Upper bound on writes during trace capture: a kernel whose loop has
@@ -80,17 +46,71 @@ class TraceReadPort(KernelReadPort):
 _CAPTURE_WRITE_LIMIT = 200_000
 
 
-class TraceWritePort(KernelWritePort):
-    """Shim write port: swallows data, emits I/O micro-ops."""
+class _TraceTransport:
+    """The transport under one kernel port during trace capture: a
+    budgeted source of synthetic zeros under a read port (``block``
+    items per block), a discarding sink under a write port.  Each
+    element or window moved emits its I/O micro-op; capture never
+    blocks, so the poison attributes the ports' slow path reads stay
+    unset."""
 
-    __slots__ = ("_spec_is_window", "writes")
+    poisoned = False
+    poison_origin = None
+    name = "trace"
 
-    def __init__(self, spec: PortSpec):
-        super().__init__(spec, queue=None)
-        self._spec_is_window = isinstance(spec.dtype, WindowType)
+    def __init__(self, spec: PortSpec, rec: TraceRecorder, budget: int = 0,
+                 block: int = 1, rtp_value: Any = 0):
+        self.spec = spec
+        self.window = isinstance(spec.dtype, WindowType)
+        self.rec = rec
+        self.budget = budget
+        self.block = block
+        self.rtp_value = rtp_value
         self.writes = 0
+        # (batch size, trace length) of the last read cut at a block end
+        self.short: Optional[Tuple[int, int]] = None
 
-    def _store(self, value):
+    def _read(self):
+        spec = self.spec
+        if spec.settings.runtime_parameter:
+            emit("rtp_rd", 1, spec.dtype.nbytes, port=spec.name)
+            return self.rtp_value
+        if self.budget <= 0:
+            raise _TraceEnd()
+        self.budget -= 1
+        if self.window:
+            dt: WindowType = spec.dtype  # type: ignore[assignment]
+            emit("win_rd", dt.count, dt.base.nbytes, port=spec.name)
+            # Loading the acquired buffer into registers costs ld issues.
+            emit("vld", dt.count, dt.base.nbytes)
+            return dt.zero()
+        emit("stream_rd", 1, spec.dtype.nbytes, port=spec.name)
+        return spec.dtype.zero()
+
+    def try_get(self, consumer_idx: int):
+        return True, self._read()
+
+    def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
+        """Read at most the items left in the current block: one block
+        per read call keeps a batched kernel's trace one block per
+        steady-state iteration."""
+        if self.short and self.short[1] == len(self.rec.ops):
+            # The batch resumed with no micro-op in between: one read.
+            raise SimulationError(
+                f"trace capture of port {self.spec.name!r}: a batched read "
+                f"of {self.short[0]} items spans blocks of {self.block} "
+                f"items; capture reads at most one block per call, so an "
+                f"exact batch must fit in a block (make block_items a "
+                f"multiple of the batch size)"
+            )
+        n = max_n  # an RTP (budget 0) reads its latched value n times
+        if self.budget > 0:
+            n = min(max_n, (self.budget - 1) % self.block + 1)
+        out = [self._read() for _ in range(n)]
+        self.short = (max_n, len(self.rec.ops)) if n < max_n else None
+        return out
+
+    def try_put(self, value: Any) -> bool:
         spec = self.spec
         self.writes += 1
         if self.writes > _CAPTURE_WRITE_LIMIT:
@@ -100,22 +120,18 @@ class TraceWritePort(KernelWritePort):
                 f"least one budgeted stream or window input per iteration "
                 f"(pure source kernels cannot be trace-bounded)"
             )
-        if self._spec_is_window:
+        if self.window:
             dt: WindowType = spec.dtype  # type: ignore[assignment]
             emit("vst", dt.count, dt.base.nbytes)
             emit("win_wr", dt.count, dt.base.nbytes, port=spec.name)
         else:
             emit("stream_wr", 1, spec.dtype.nbytes, port=spec.name)
-        return None
-
-    @types.coroutine
-    def put(self, value):
-        return self._store(value)
-        yield  # pragma: no cover — a generator; trace capture never blocks
-
-    def try_put(self, value):
-        self._store(value)
         return True
+
+    def try_put_many(self, values, start: int = 0) -> int:
+        for value in values[start:]:
+            self.try_put(value)
+        return len(values) - start
 
 
 @dataclass
@@ -149,27 +165,27 @@ class TraceStimulus:
 def _capture(kernel: KernelClass, stim: TraceStimulus,
              n_blocks: int) -> List[MicroOp]:
     """Run *kernel* over *n_blocks* synthetic blocks; return its trace."""
+    rec = TraceRecorder()
     ports: List[Any] = []
     for spec in kernel.port_specs:
         if spec.is_input:
-            budget = stim.items_for(spec) * n_blocks
-            ports.append(TraceReadPort(
-                spec, budget, rtp_value=stim.rtp_values.get(spec.name, 0)
-            ))
+            block = stim.items_for(spec)
+            ports.append(KernelReadPort(spec, _TraceTransport(
+                spec, rec, block * n_blocks, block,
+                stim.rtp_values.get(spec.name, 0),
+            ), 0))
         else:
-            ports.append(TraceWritePort(spec))
+            ports.append(KernelWritePort(spec, _TraceTransport(spec, rec)))
     coro = kernel.instantiate(ports)
-    with TraceRecorder() as rec:
+    with rec:
         try:
             coro.send(None)
             raise SimulationError(
                 f"kernel {kernel.name} suspended during trace capture; "
                 f"trace ports never block — is it yielding manually?"
             )
-        except _TraceEnd:
-            pass
-        except StopIteration:
-            pass  # kernel with a finite loop
+        except (_TraceEnd, StopIteration):
+            pass  # input budget spent, or a kernel with a finite loop
         finally:
             coro.close()
     return rec.ops

@@ -18,7 +18,8 @@ import numpy as np
 from ..core import IoC, IoConnector, float32, make_compute_graph
 from .bilinear import bilinear_kernel
 from .bitonic import bitonic16_kernel
-from .datasets import bilinear_blocks, bitonic_blocks
+from .datasets import (BILINEAR_BLOCK, BITONIC_BLOCK, bilinear_blocks,
+                       bitonic_blocks)
 
 __all__ = [
     "BITONIC_FARM4",
@@ -39,6 +40,7 @@ def BITONIC_FARM4(lane0: IoC[float32], lane1: IoC[float32],
     """Four independent 16-wide bitonic sorters (compute-heavy farm)."""
     outs = []
     for i, lane in enumerate((lane0, lane1, lane2, lane3)):
+        lane.set_attrs(block_items=BITONIC_BLOCK)
         o = IoConnector(float32, name=f"sorted{i}")
         bitonic16_kernel(lane, o)
         outs.append(o)
@@ -55,6 +57,8 @@ def BILINEAR_FARM4(pix0: IoC[float32], frac0: IoC[float32],
     outs = []
     lanes = ((pix0, frac0), (pix1, frac1), (pix2, frac2), (pix3, frac3))
     for i, (pix, frac) in enumerate(lanes):
+        pix.set_attrs(block_items=BILINEAR_BLOCK * 4)
+        frac.set_attrs(block_items=BILINEAR_BLOCK * 2)
         o = IoConnector(float32, name=f"interp{i}")
         bilinear_kernel(pix, frac, o)
         outs.append(o)

@@ -45,6 +45,7 @@ __all__ = [
     "Out",
     "KernelReadPort",
     "KernelWritePort",
+    "bind_kernel_ports",
 ]
 
 
@@ -375,3 +376,30 @@ class KernelWritePort:
 
     def __repr__(self):
         return f"<KernelWritePort {self.spec.name}:{self.dtype.name}>"
+
+
+def bind_kernel_ports(name: str, kernel, port_nets, queues, alloc,
+                      validate: bool = False):
+    """Build the ports of kernel instance *name*, port ``i`` over
+    ``queues[port_nets[i]]``: the one place every engine does this.
+
+    Read ports take their net's next consumer index from *alloc* (net
+    id -> next free index), in port order; every port appends *name* to
+    its queue's ``consumer_names``/``producer_names``.  Returns
+    ``(ports, reads, writes)``: the ports, ``(queue, consumer_idx)`` per
+    read port and the queue per write port.
+    """
+    ports, reads, writes = [], [], []
+    for spec, net_id in zip(kernel.port_specs, port_nets):
+        queue = queues[net_id]
+        if spec.is_input:
+            cidx = alloc[net_id]
+            alloc[net_id] = cidx + 1
+            ports.append(KernelReadPort(spec, queue, cidx))
+            queue.consumer_names.append(name)
+            reads.append((queue, cidx))
+        else:
+            ports.append(KernelWritePort(spec, queue, validate))
+            queue.producer_names.append(name)
+            writes.append(queue)
+    return ports, reads, writes

@@ -43,7 +43,7 @@ from .fused import (
     SourceFeed,
 )
 from .graph import ComputeGraph, Net
-from .ports import KernelReadPort, KernelWritePort
+from .ports import bind_kernel_ports
 from .queues import BroadcastQueue, DEFAULT_QUEUE_CAPACITY, LatchQueue
 from .result import RunResult, kernel_fraction
 from .scheduler import CooperativeScheduler, SchedulerStats, TaskState
@@ -194,21 +194,10 @@ class RuntimeContext:
             if inst.index in fused_idxs:
                 continue
             name = inst.instance_name
-            ports = []
-            ins: List[Tuple[Any, int]] = []
-            outs: List[Any] = []
-            for port_idx, net_id in enumerate(inst.port_nets):
-                pspec = inst.kernel.port_specs[port_idx]
-                q = self.queues[net_id]
-                if pspec.is_input:
-                    cidx = self._alloc_consumer(net_id)
-                    ports.append(KernelReadPort(pspec, q, cidx))
-                    q.consumer_names.append(name)
-                    ins.append((q, cidx))
-                else:
-                    ports.append(KernelWritePort(pspec, q, validate=validate))
-                    q.producer_names.append(name)
-                    outs.append(q)
+            ports, ins, outs = bind_kernel_ports(
+                name, inst.kernel, inst.port_nets, self.queues,
+                self._consumer_alloc, validate,
+            )
             coro = inst.kernel.instantiate(ports)
             if session is not None:
                 coro = session.wrap_kernel(name, coro)
@@ -229,29 +218,20 @@ class RuntimeContext:
         validate = self.spec.validate
         session = self.fault_session
         members: List[FusedMember] = []
-        out_member: Dict[int, FusedMember] = {}  # link net -> producer
-        in_member: Dict[int, FusedMember] = {}   # link net -> consumer
-        link_set = set(chain.link_nets)
+        # id(link) -> [link, producing member, consuming member]
+        ends = {id(q): [q, None, None]
+                for q in (self.queues[nid] for nid in chain.link_nets)}
         ins: List[Tuple[Any, int]] = []   # external reads of the chain
         outs: List[Any] = []              # external poisonable writes
         for mb in chain.members:
-            ports = []
-            for port_idx, net_id in enumerate(mb.port_nets):
-                pspec = mb.kernel.port_specs[port_idx]
-                q = self.queues[net_id]
-                if pspec.is_input:
-                    if isinstance(q, (FusedLink, SourceFeed)):
-                        cidx = 0  # single consumer by construction
-                    else:
-                        cidx = self._alloc_consumer(net_id)
-                        ins.append((q, cidx))
-                    ports.append(KernelReadPort(pspec, q, cidx))
-                    q.consumer_names.append(mb.name)
-                else:
-                    ports.append(KernelWritePort(pspec, q, validate=validate))
-                    q.producer_names.append(mb.name)
-                    if not isinstance(q, (FusedLink, SinkStore)):
-                        outs.append(q)
+            ports, reads, writes = bind_kernel_ports(
+                mb.name, mb.kernel, mb.port_nets, self.queues,
+                self._consumer_alloc, validate,
+            )
+            ins += [r for r in reads
+                    if not isinstance(r[0], (FusedLink, SourceFeed))]
+            outs += [q for q in writes
+                     if not isinstance(q, (FusedLink, SinkStore))]
             coro = mb.kernel.instantiate(ports)
             if session is not None:
                 coro = session.wrap_kernel(mb.name, coro,
@@ -261,19 +241,13 @@ class RuntimeContext:
             self._member_instances[mb.name] = tuple(mb.fused_from)
             for orig in mb.fused_from:
                 self._owner_task[orig] = chain.name
-            for port_idx, net_id in enumerate(mb.port_nets):
-                if net_id not in link_set:
-                    continue
-                if mb.kernel.port_specs[port_idx].is_output:
-                    out_member[net_id] = member
-                else:
-                    in_member[net_id] = member
-        links = {}
-        for net_id in chain.link_nets:
-            link = self.queues[net_id]
-            links[id(link)] = (
-                link, out_member.get(net_id), in_member.get(net_id),
-            )
+            for q in writes:
+                if id(q) in ends:
+                    ends[id(q)][1] = member
+            for q, _cidx in reads:
+                if id(q) in ends:
+                    ends[id(q)][2] = member
+        links = {qid: tuple(end) for qid, end in ends.items()}
         feed_ids = frozenset(
             id(self.queues[nid]) for nid in chain.feed_nets
         )
@@ -284,11 +258,6 @@ class RuntimeContext:
             self._store_owner[nid] = chain.name
         return FusedDriver(chain.name, members, links=links,
                            feed_ids=feed_ids)
-
-    def _alloc_consumer(self, net_id: int) -> int:
-        idx = self._consumer_alloc[net_id]
-        self._consumer_alloc[net_id] = idx + 1
-        return idx
 
     def _merge_driver_stats(self, stats: SchedulerStats) -> None:
         """Re-attribute each fused driver's stats row to its members, so
@@ -362,7 +331,8 @@ class RuntimeContext:
                 q.consumer_names.append(f"sink[{gio.io_index}]")
                 self._outputs.append((gio.io_index, container, net.dtype, q))
             else:
-                cidx = self._alloc_consumer(gio.net_id)
+                cidx = self._consumer_alloc[gio.net_id]
+                self._consumer_alloc[gio.net_id] = cidx + 1
                 coro, cursor = make_sink(q, cidx, net.dtype, container,
                                          batch=batch_io)
                 q.consumer_names.append(f"sink[{gio.io_index}]")

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..core.ports import KernelReadPort, KernelWritePort
+from ..core.ports import bind_kernel_ports
 from ..core.queues import BroadcastQueue, LatchQueue
 from ..core.scheduler import CooperativeScheduler, TaskState
 from ..core.sources_sinks import RuntimeParam, make_sink, make_source
@@ -244,18 +244,10 @@ class ShardRuntime:
         for idx in pl.shards[spec.wid]:
             inst = g.kernels[idx]
             name = inst.instance_name
-            ports = []
-            for port_idx, net_id in enumerate(inst.port_nets):
-                pspec = inst.kernel.port_specs[port_idx]
-                q = self.queues[net_id]
-                if pspec.is_input:
-                    cidx = self._alloc_consumer(net_id)
-                    ports.append(KernelReadPort(pspec, q, cidx))
-                    q.consumer_names.append(name)
-                else:
-                    ports.append(KernelWritePort(pspec, q,
-                                                 validate=run.validate))
-                    q.producer_names.append(name)
+            ports, _, _ = bind_kernel_ports(
+                name, inst.kernel, inst.port_nets, self.queues,
+                self._alloc, run.validate,
+            )
             self._kernel_coros.append((name, inst.kernel.instantiate(ports)))
 
         # Sinks collect locally into plain lists; the manager copies

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.builder import CompiledGraph
 from ..core.graph import ComputeGraph
-from ..core.ports import KernelReadPort, KernelWritePort
+from ..core.ports import bind_kernel_ports
 from ..core.result import RunResult
 from ..core.sources_sinks import (
     RuntimeParam,
@@ -361,32 +361,16 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
     if session is not None:
         session.check_wired()
 
-    def alloc_consumer(net_id: int) -> int:
-        idx = consumer_alloc[net_id]
-        consumer_alloc[net_id] = idx + 1
-        return idx
-
     threads: List[threading.Thread] = []
 
     # Kernel threads.
     for inst in g.kernels:
         name = inst.instance_name
-        ports = []
-        in_bindings: List[Tuple[Any, int]] = []
-        out_queues: List[Any] = []
-        for port_idx, net_id in enumerate(inst.port_nets):
-            pspec = inst.kernel.port_specs[port_idx]
-            q = queues[net_id]
-            if pspec.is_input:
-                cidx = alloc_consumer(net_id)
-                ports.append(KernelReadPort(pspec, q, cidx))
-                q.consumer_names.append(name)
-                if not isinstance(q, ThreadedLatchQueue):
-                    in_bindings.append((q, cidx))
-            else:
-                ports.append(KernelWritePort(pspec, q))
-                q.producer_names.append(name)
-                out_queues.append(q)
+        ports, reads, out_queues = bind_kernel_ports(
+            name, inst.kernel, inst.port_nets, queues, consumer_alloc,
+        )
+        in_bindings = [r for r in reads
+                       if not isinstance(r[0], ThreadedLatchQueue)]
         coro = inst.kernel.instantiate(ports)
         if session is not None:
             coro = session.wrap_kernel(name, coro)
@@ -420,7 +404,8 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
         if net.settings.runtime_parameter:
             rtp_sinks.append((q, container))
             continue
-        cidx = alloc_consumer(gio.net_id)
+        cidx = consumer_alloc[gio.net_id]
+        consumer_alloc[gio.net_id] = cidx + 1
         store, _many, _cursor = sink_store(net.dtype, container)
         q.consumer_names.append(f"sink[{gio.io_index}]")
         t = _SinkThread(f"sink[{gio.io_index}]", q, cidx, store, timeout,

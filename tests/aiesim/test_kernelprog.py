@@ -157,3 +157,64 @@ class TestCaptureGuards:
 
         with pytest.raises(SimulationError, match="pure source"):
             build_kernel_program(generator_kernel, TraceStimulus(), "hand")
+
+
+class TestBatchedCapture:
+    """Trace capture is a transport under the ordinary ports, so batched
+    port ops are traced like their per-element equivalents, one block
+    per read call."""
+
+    @staticmethod
+    def _io_kinds(prog):
+        return [(s.kind, s.port, s.words) for s in prog.body
+                if s.kind != "compute"]
+
+    def test_exact_batch_traces_like_element_ops(self):
+        from repro.core import AIE, In, Out, compute_kernel, int32
+
+        @compute_kernel(realm=AIE)
+        async def per_element(a: In[int32], o: Out[int32]):
+            while True:
+                xs = [await a.get() for _ in range(4)]
+                for x in xs:
+                    await o.put(x)
+
+        @compute_kernel(realm=AIE)
+        async def batched(a: In[int32], o: Out[int32]):
+            while True:
+                await o.put_batch(await a.get_batch(4))
+
+        stim = TraceStimulus(block_items={"a": 4})
+        want = build_kernel_program(per_element, stim, "thunk")
+        got = build_kernel_program(batched, stim, "thunk")
+        assert self._io_kinds(got) == self._io_kinds(want)
+        assert got.body_cycles_lower_bound == want.body_cycles_lower_bound
+
+    def test_inexact_batch_reads_one_block_per_call(self):
+        from repro.core import AIE, In, Out, compute_kernel, int32
+
+        @compute_kernel(realm=AIE)
+        async def drain(a: In[int32], o: Out[int32]):
+            while True:
+                await o.put_batch(await a.get_batch(64, exact=False))
+
+        prog = build_kernel_program(
+            drain, TraceStimulus(block_items={"a": 16}), "hand")
+        assert prog.io_words == {"a": 16, "o": 16}
+
+    def test_batch_spanning_blocks_names_port_and_sizes(self):
+        """An exact batch larger than the block is reported as such, not
+        as a non-stationary trace."""
+        from repro.core import AIE, In, Out, compute_kernel, int32
+
+        @compute_kernel(realm=AIE)
+        async def two_blocks(a: In[int32], o: Out[int32]):
+            while True:
+                await o.put_batch(await a.get_batch(32))
+
+        with pytest.raises(SimulationError) as err:
+            build_kernel_program(
+                two_blocks, TraceStimulus(block_items={"a": 16}), "hand")
+        msg = str(err.value)
+        assert "'a'" in msg and "32 items" in msg and "16 items" in msg
+        assert "non-stationary" not in msg

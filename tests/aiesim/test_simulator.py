@@ -139,6 +139,72 @@ class TestTable1Shape:
         assert hand_ns["bitonic"] < hand_ns["iir"]
 
 
+def _app_graphs():
+    """Every compiled graph defined in :mod:`repro.apps`, by name."""
+    import importlib
+    import pkgutil
+
+    import repro.apps
+    from repro.core.builder import CompiledGraph
+
+    graphs = {}
+    for info in pkgutil.iter_modules(repro.apps.__path__):
+        mod = importlib.import_module(f"repro.apps.{info.name}")
+        for obj in vars(mod).values():
+            if isinstance(obj, CompiledGraph):
+                graphs[obj.name] = obj
+    return graphs
+
+
+class TestEveryAppGraph:
+    """aiesim costs every graph in ``repro.apps`` in both modes: the four
+    apps, the batched-I/O twins and the lane farms."""
+
+    RTP = {"farrow": {"mu": 13107}}
+
+    @pytest.fixture(scope="class")
+    def intervals(self):
+        rows = {}
+        for name, graph in _app_graphs().items():
+            kw = {"rtp_values": self.RTP[name]} if name in self.RTP else {}
+            for mode in ("hand", "thunk"):
+                rep = simulate_graph(graph, mode=mode, n_blocks=4, **kw)
+                rows[name, mode] = rep.block_interval_cycles
+        return rows
+
+    def test_every_app_graph_is_costed(self, intervals):
+        names = {name for name, _mode in intervals}
+        assert names >= {
+            "bitonic", "bitonic_batched", "farrow", "iir", "iir_batched",
+            "bilinear", "bitonic_farm4", "bilinear_farm4",
+        }
+        assert all(v > 0 for v in intervals.values())
+
+    @pytest.mark.parametrize("mode", ["hand", "thunk"])
+    def test_batched_iir_costs_what_iir_costs(self, intervals, mode):
+        """One window per read call: the twin's ``get_batch(4,
+        exact=False)`` traces exactly like ``get``."""
+        assert intervals["iir_batched", mode] == intervals["iir", mode]
+
+    @pytest.mark.parametrize("mode", ["hand", "thunk"])
+    @pytest.mark.parametrize("farm,lane", [("bitonic_farm4", "bitonic"),
+                                           ("bilinear_farm4", "bilinear")])
+    def test_farm_costs_what_one_lane_costs(self, intervals, mode, farm,
+                                            lane):
+        assert intervals[farm, mode] == intervals[lane, mode]
+
+    def test_batched_bitonic_interval(self, intervals):
+        """The twin is cheaper than the per-element kernel (424/477
+        cycles) by its register traffic only: it loads the block with
+        one ``aie.vec`` (one ``vld``) and writes it with ``to_array`` (no
+        micro-op), where the per-element kernel clears a vector
+        (``vclr``), fills it with 16 ``push`` (``vshift_elem``) and reads
+        16 lanes (``vext_elem``).  Stream I/O and the sort network are
+        the same."""
+        assert intervals["bitonic_batched", "hand"] == 106
+        assert intervals["bitonic_batched", "thunk"] == 113
+
+
 class TestDeterminism:
     def test_simulation_is_deterministic(self):
         g = build_window_graph()

@@ -20,11 +20,13 @@ from repro.core.ports import (
     KernelWritePort,
     PortDirection,
     PortSpec,
+    bind_kernel_ports,
 )
 from repro.core.sources_sinks import queue_get, queue_put
 from repro.errors import PoisonSignal, StreamTypeError
 from repro.x86sim.channels import ThreadedBroadcastQueue
 from repro.x86sim.runner import _KernelThread
+from conftest import adder_kernel, doubler_kernel
 
 
 def _reader(q, idx=0, dtype=float32):
@@ -326,6 +328,57 @@ class TestQueueOps:
         _Parked(_await(queue_put(q, 2))).coro.close()
         assert q._head == 1 and q._cursors == [0]
         assert q.try_get(0) == (True, 1)
+
+
+# ---------------------------------------------------------------------------
+# bind_kernel_ports
+# ---------------------------------------------------------------------------
+
+
+class TestBindKernelPorts:
+    def test_consumer_indices_follow_port_order(self):
+        """Two read ports on one net take the net's next free indices in
+        signature order; the allocator is advanced past them."""
+        shared = BroadcastQueue(capacity=4, n_consumers=3, name="shared")
+        out = BroadcastQueue(capacity=4, name="out")
+        alloc = {0: 1, 1: 0}  # index 0 of the shared net is taken
+        ports, reads, writes = bind_kernel_ports(
+            "add", adder_kernel, (0, 0, 1), {0: shared, 1: out}, alloc)
+        assert [p.spec.name for p in ports] == ["in1", "in2", "out"]
+        assert reads == [(shared, 1), (shared, 2)]
+        assert writes == [out]
+        assert alloc == {0: 3, 1: 0}
+        shared.try_put(5.0)
+        assert _finish(_await(ports[0].get())) == 5.0
+        assert shared._cursors == [0, 1, 0]
+        assert _finish(_await(ports[1].get())) == 5.0
+        assert shared._cursors == [0, 1, 1]
+
+    def test_endpoint_names_are_appended(self):
+        a = BroadcastQueue(capacity=4, n_consumers=2, name="a")
+        b = BroadcastQueue(capacity=4, name="b")
+        a.producer_names.append("source[0]")
+        a.consumer_names.append("sink[0]")
+        bind_kernel_ports("k", doubler_kernel, (0, 1), {0: a, 1: b},
+                          {0: 1, 1: 0})
+        assert a.producer_names == ["source[0]"]
+        assert a.consumer_names == ["sink[0]", "k"]
+        assert b.producer_names == ["k"] and b.consumer_names == []
+
+    def test_validate_reaches_the_write_ports(self):
+        queues = {0: BroadcastQueue(capacity=4), 1: BroadcastQueue(capacity=4)}
+        ports, _, _ = bind_kernel_ports("k", doubler_kernel, (0, 1), queues,
+                                        {0: 0, 1: 0}, validate=True)
+        with pytest.raises(StreamTypeError):
+            _await(ports[1].put("not a number")).send(None)
+        _finish(_await(ports[1].put(3.0)))
+        ok, value = queues[1].try_get(0)
+        assert ok and type(value) is np.int32 and value == 3
+        # Off by default: the value is stored as given.
+        ports, _, _ = bind_kernel_ports("k", doubler_kernel, (0, 1), queues,
+                                        {0: 0, 1: 0})
+        _finish(_await(ports[1].put(3.0)))
+        assert queues[1].try_get(0) == (True, 3.0)
 
 
 # ---------------------------------------------------------------------------
