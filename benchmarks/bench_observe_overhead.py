@@ -1,17 +1,21 @@
 """Observability overhead: the tracing-off path must be (nearly) free.
 
-The repro.observe hook sites were designed so that a run without a
-tracer executes the queue transfer fast path unchanged — the traced
-``BroadcastQueue`` subclass is only swapped in by ``attach_observer``
-— and pays just one ``tracer is not None`` test per scheduler context
-switch, which is orders of magnitude rarer than a transfer.  This
-benchmark proves the claim on the synchronisation-heavy bitonic graph
-— the workload with the highest transfer-to-compute ratio, i.e. the
-worst case for per-transfer overhead:
+Queue events come from one tracing proxy,
+:func:`repro.core.transport.traced`, which an engine installs at queue
+construction only when the run's tracer records queue events; no
+transport carries a hook of its own.  A run without a tracer therefore
+executes the plain queue transfer methods and pays just one
+``tracer is not None`` test per scheduler context switch, which is
+orders of magnitude rarer than a transfer.  This benchmark checks the
+claim on the synchronisation-heavy bitonic graph — the workload with
+the highest transfer-to-compute ratio, i.e. the worst case for
+per-transfer overhead:
 
 * **control** — the same run with the four ``BroadcastQueue`` transfer
-  methods monkeypatched to standalone copies, guarding against hooks
-  (or any other per-transfer cost) creeping back into the base class;
+  methods monkeypatched to standalone copies.
+  ``test_control_in_lockstep`` holds the copies identical to the base
+  methods (bytecode, names, constants), so a change to the queue fast
+  path fails here until the control is re-copied;
 * **off** — tracing off through the normal code path
   (must be within ``MAX_OFF_OVERHEAD`` of control);
 * **tasks** — tracing on, task-level events only
@@ -28,6 +32,7 @@ to cost real time — in ``results/observe_overhead.json``.
 
 from __future__ import annotations
 
+import inspect
 import json
 from contextlib import contextmanager
 from time import perf_counter
@@ -55,16 +60,19 @@ ROUNDS = 5
 MAX_ROUNDS = 30
 
 
-# -- hook-free control copies of the BroadcastQueue transfer methods ----------
+# -- control copies of the BroadcastQueue transfer methods --------------------
 #
-# Byte-for-byte the current implementations minus the ``_observe``
-# blocks.  If the queue fast path changes, these must change with it —
-# the differential is only meaningful while the pair stays in lockstep.
+# Verbatim copies of the current implementations (docstrings included,
+# so the code objects compare equal).  If the queue fast path changes,
+# these must change with it — test_control_in_lockstep fails until they
+# do, because the differential is only meaningful while the pair stays
+# in lockstep.
 
 def _ctl_try_put(self, value: Any) -> bool:
-    if self.n_consumers == 0:
+    """Append *value* for all consumers; False if the ring is full."""
+    if self._n_active == 0:
         self.total_puts += 1
-        return True
+        return True  # no one to deliver to; writes complete trivially
     head = self._head
     if head - self._min_cursor_now() >= self.capacity:
         return False
@@ -79,10 +87,17 @@ def _ctl_try_put(self, value: Any) -> bool:
 
 
 def _ctl_try_put_many(self, values, start: int = 0) -> int:
+    """Append ``values[start:]`` as one contiguous run.
+
+    Writes as many elements as the ring has free slots (possibly 0)
+    using at most two slice assignments (one per wrap segment) and
+    returns the number written.  This is the bulk fast path behind
+    ``await port.put_batch(seq)``.
+    """
     n_values = len(values) - start
     if n_values <= 0:
         return 0
-    if self.n_consumers == 0:
+    if self._n_active == 0:
         self.total_puts += n_values
         return n_values
     head = self._head
@@ -107,12 +122,20 @@ def _ctl_try_put_many(self, values, start: int = 0) -> int:
 
 
 def _ctl_try_get(self, consumer_idx: int) -> Tuple[bool, Any]:
+    """Pop the next element for *consumer_idx*.
+
+    Returns ``(True, value)`` or ``(False, None)`` when no data is
+    available for that consumer.
+    """
+    if self._detached and consumer_idx in self._detached:
+        return False, None
     cur = self._cursors[consumer_idx]
     if cur == self._head:
         return False, None
     value = self._slots[cur % self.capacity]
     self._cursors[consumer_idx] = cur + 1
     self.total_gets += 1
+    # Only the (a) laggard advancing can change the min cursor.
     if cur == self._min_cursor and not self._min_dirty:
         self._min_dirty = True
     if self.write_waiters and self._scheduler is not None:
@@ -122,6 +145,14 @@ def _ctl_try_get(self, consumer_idx: int) -> Tuple[bool, Any]:
 
 
 def _ctl_try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
+    """Pop up to *max_n* elements for *consumer_idx* as one run.
+
+    Returns a (possibly empty) list, taken with at most two slot
+    slices.  This is the bulk fast path behind
+    ``await port.get_batch(n)``.
+    """
+    if self._detached and consumer_idx in self._detached:
+        return []
     cur = self._cursors[consumer_idx]
     avail = self._head - cur
     if avail <= 0 or max_n <= 0:
@@ -150,6 +181,22 @@ _CONTROL = {
     "try_get": _ctl_try_get,
     "try_get_many": _ctl_try_get_many,
 }
+
+
+def _code_key(fn):
+    # Docstring constants differ only in indentation (method vs module
+    # level), so they are compared cleaned.
+    code = fn.__code__
+    consts = tuple(inspect.cleandoc(c) if isinstance(c, str) else c
+                   for c in code.co_consts)
+    return code.co_code, code.co_names, consts
+
+
+def test_control_in_lockstep():
+    """Each control copy compiles to the same code as its base method."""
+    for name, ctl in _CONTROL.items():
+        assert _code_key(ctl) == _code_key(getattr(BroadcastQueue, name)), \
+            name
 
 
 @contextmanager

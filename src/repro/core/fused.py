@@ -133,8 +133,7 @@ class FusedLink:
     """
 
     __slots__ = (
-        "name", "capacity", "n_consumers", "_buf", "_observe",
-        "read_waiters", "write_waiters", "total_puts", "total_gets",
+        "name", "capacity", "n_consumers", "_buf", "read_waiters", "write_waiters", "total_puts", "total_gets",
         "producer_names", "consumer_names",
     )
 
@@ -150,7 +149,6 @@ class FusedLink:
         self.capacity = max(1, int(capacity))
         self.n_consumers = 1
         self._buf: deque = deque()
-        self._observe = None
         self.read_waiters: List[List] = [[]]
         self.write_waiters: List = []
         self.total_puts = 0
@@ -162,18 +160,6 @@ class FusedLink:
 
     def bind_scheduler(self, scheduler) -> None:
         pass
-
-    def attach_observer(self, tracer) -> None:
-        self._observe = tracer
-        cls = type(self)
-        if tracer is not None:
-            traced = _TRACED_FUSED_VARIANTS.get(cls)
-            if traced is not None:
-                self.__class__ = traced
-        else:
-            base = _BASE_FUSED_VARIANTS.get(cls)
-            if base is not None:
-                self.__class__ = base
 
     # -- introspection ------------------------------------------------------
 
@@ -272,12 +258,16 @@ class SourceFeed:
 
     __slots__ = (
         "name", "n_consumers", "capacity", "_chunks", "_chunk", "_buf",
-        "_pos", "_observe", "read_waiters", "write_waiters", "total_puts",
+        "_pos", "read_waiters", "write_waiters", "total_puts",
         "total_gets", "producer_names", "consumer_names",
     )
 
     poisoned = False        # see FusedLink: boundary-only containment
     poison_origin = ""
+
+    #: Traced as a put+get pair per transfer, so per-queue metrics
+    #: match an unfused run (see :func:`repro.core.transport.traced`).
+    trace_shape = "transfer"
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -287,7 +277,6 @@ class SourceFeed:
         self._chunk = DEFAULT_QUEUE_CAPACITY
         self._buf: Optional[List[Any]] = None   # None until bound
         self._pos = 0
-        self._observe = None
         self.read_waiters: List[List] = [[]]
         self.write_waiters: List = []
         self.total_puts = 0
@@ -309,18 +298,6 @@ class SourceFeed:
 
     def bind_scheduler(self, scheduler) -> None:
         pass
-
-    def attach_observer(self, tracer) -> None:
-        self._observe = tracer
-        cls = type(self)
-        if tracer is not None:
-            traced = _TRACED_FUSED_VARIANTS.get(cls)
-            if traced is not None:
-                self.__class__ = traced
-        else:
-            base = _BASE_FUSED_VARIANTS.get(cls)
-            if base is not None:
-                self.__class__ = base
 
     # -- introspection -------------------------------------------------------
 
@@ -409,12 +386,16 @@ class SinkStore:
 
     __slots__ = (
         "name", "n_consumers", "capacity", "_store", "_store_many",
-        "_cursor", "_n_list", "_observe", "read_waiters", "write_waiters",
+        "_cursor", "_n_list", "read_waiters", "write_waiters",
         "total_puts", "total_gets", "producer_names", "consumer_names",
     )
 
     poisoned = False        # see FusedLink: boundary-only containment
     poison_origin = ""
+
+    #: Traced as a put+get pair per transfer, so per-queue metrics
+    #: match an unfused run (see :func:`repro.core.transport.traced`).
+    trace_shape = "transfer"
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -423,7 +404,6 @@ class SinkStore:
         self._store = self._store_many = None
         self._cursor: Optional[ArraySinkCursor] = None
         self._n_list = 0
-        self._observe = None
         self.read_waiters: List[List] = [[]]
         self.write_waiters: List = []
         self.total_puts = 0
@@ -442,18 +422,6 @@ class SinkStore:
 
     def bind_scheduler(self, scheduler) -> None:
         pass
-
-    def attach_observer(self, tracer) -> None:
-        self._observe = tracer
-        cls = type(self)
-        if tracer is not None:
-            traced = _TRACED_FUSED_VARIANTS.get(cls)
-            if traced is not None:
-                self.__class__ = traced
-        else:
-            base = _BASE_FUSED_VARIANTS.get(cls)
-            if base is not None:
-                self.__class__ = base
 
     # -- introspection -------------------------------------------------------
 
@@ -507,88 +475,6 @@ class SinkStore:
 
     def __repr__(self):
         return f"<SinkStore {self.name or '?'} stored={self.items_stored}>"
-
-
-# -- traced variants ---------------------------------------------------------
-#
-# Same class-swap idiom as repro.core.queues: no instance is constructed
-# traced; ``attach_observer`` swaps ``__class__`` when a tracer with
-# queue events attaches, so untraced runs pay zero per-transfer cost.
-
-
-class _TracedFusedLink(FusedLink):
-    __slots__ = ()
-
-    def try_put(self, value: Any) -> bool:
-        ok = FusedLink.try_put(self, value)
-        if ok:
-            self._observe.queue_put(self.name, 1, len(self._buf))
-        return ok
-
-    def try_put_many(self, values, start: int = 0) -> int:
-        n = FusedLink.try_put_many(self, values, start)
-        if n:
-            self._observe.queue_put(self.name, n, len(self._buf))
-        return n
-
-    def try_get(self, consumer_idx: int) -> Tuple[bool, Any]:
-        ok, value = FusedLink.try_get(self, consumer_idx)
-        if ok:
-            self._observe.queue_get(self.name, 1, len(self._buf))
-        return ok, value
-
-    def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
-        out = FusedLink.try_get_many(self, consumer_idx, max_n)
-        if out:
-            self._observe.queue_get(self.name, len(out), len(self._buf))
-        return out
-
-
-class _TracedSourceFeed(SourceFeed):
-    __slots__ = ()
-
-    def try_get(self, consumer_idx: int) -> Tuple[bool, Any]:
-        ok, value = SourceFeed.try_get(self, consumer_idx)
-        if ok:
-            # A feed put+get is one fused transfer; report both sides so
-            # per-queue metrics match an unfused source-fed queue.
-            self._observe.queue_put(self.name, 1, 1)
-            self._observe.queue_get(self.name, 1, 0)
-        return ok, value
-
-    def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
-        out = SourceFeed.try_get_many(self, consumer_idx, max_n)
-        if out:
-            self._observe.queue_put(self.name, len(out), len(out))
-            self._observe.queue_get(self.name, len(out), 0)
-        return out
-
-
-class _TracedSinkStore(SinkStore):
-    __slots__ = ()
-
-    def try_put(self, value: Any) -> bool:
-        SinkStore.try_put(self, value)
-        self._observe.queue_put(self.name, 1, 1)
-        self._observe.queue_get(self.name, 1, 0)
-        return True
-
-    def try_put_many(self, values, start: int = 0) -> int:
-        n = SinkStore.try_put_many(self, values, start)
-        if n:
-            self._observe.queue_put(self.name, n, n)
-            self._observe.queue_get(self.name, n, 0)
-        return n
-
-
-_TRACED_FUSED_VARIANTS = {
-    FusedLink: _TracedFusedLink,
-    SourceFeed: _TracedSourceFeed,
-    SinkStore: _TracedSinkStore,
-}
-_BASE_FUSED_VARIANTS = {
-    traced: base for base, traced in _TRACED_FUSED_VARIANTS.items()
-}
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,15 @@ class Net:
     def is_merge(self) -> bool:
         return len(self.producers) > 1
 
+    def queue_depth(self, default: int) -> int:
+        """Ring depth for this net: its port settings' ``depth``, else
+        a ``depth`` connection attribute, else *default*."""
+        depth = self.settings.depth
+        if depth is None:
+            attr_depth = self.attrs.get("depth")
+            depth = int(attr_depth) if attr_depth is not None else default
+        return depth
+
 
 @dataclass
 class KernelInstance:

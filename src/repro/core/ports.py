@@ -46,6 +46,7 @@ __all__ = [
     "KernelReadPort",
     "KernelWritePort",
     "bind_kernel_ports",
+    "next_consumer",
 ]
 
 
@@ -378,6 +379,14 @@ class KernelWritePort:
         return f"<KernelWritePort {self.spec.name}:{self.dtype.name}>"
 
 
+def next_consumer(alloc, net_id: int) -> int:
+    """Take net *net_id*'s next free consumer index from *alloc* (net
+    id -> next free index)."""
+    cidx = alloc[net_id]
+    alloc[net_id] = cidx + 1
+    return cidx
+
+
 def bind_kernel_ports(name: str, kernel, port_nets, queues, alloc,
                       validate: bool = False):
     """Build the ports of kernel instance *name*, port ``i`` over
@@ -393,8 +402,7 @@ def bind_kernel_ports(name: str, kernel, port_nets, queues, alloc,
     for spec, net_id in zip(kernel.port_specs, port_nets):
         queue = queues[net_id]
         if spec.is_input:
-            cidx = alloc[net_id]
-            alloc[net_id] = cidx + 1
+            cidx = next_consumer(alloc, net_id)
             ports.append(KernelReadPort(spec, queue, cidx))
             queue.consumer_names.append(name)
             reads.append((queue, cidx))

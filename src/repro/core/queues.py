@@ -68,7 +68,6 @@ class BroadcastQueue:
         "read_waiters",
         "write_waiters",
         "_scheduler",
-        "_observe",
         "total_puts",
         "total_gets",
         "producer_names",
@@ -101,7 +100,6 @@ class BroadcastQueue:
         self.read_waiters: List[List] = [[] for _ in range(n_consumers)]
         self.write_waiters: List = []
         self._scheduler = None  # wired by the RuntimeContext
-        self._observe = None    # optional repro.observe.Tracer
         self.total_puts = 0
         self.total_gets = 0
         # Endpoint labels for deadlock diagnostics, filled in by the
@@ -122,25 +120,6 @@ class BroadcastQueue:
     def bind_scheduler(self, scheduler) -> None:
         """Attach the scheduler that should be notified on state changes."""
         self._scheduler = scheduler
-
-    def attach_observer(self, tracer) -> None:
-        """Attach a :class:`repro.observe.Tracer` (or ``None``) that
-        receives ``queue.put``/``queue.get`` events with fill levels.
-
-        Attaching swaps the instance to the traced subclass (and
-        detaching swaps it back), so an untraced queue runs the plain
-        transfer methods with **zero** per-transfer hook cost — the
-        property ``benchmarks/bench_observe_overhead.py`` guards."""
-        self._observe = tracer
-        cls = type(self)
-        if tracer is not None:
-            traced = _TRACED_VARIANTS.get(cls)
-            if traced is not None:
-                self.__class__ = traced
-        else:
-            base = _BASE_VARIANTS.get(cls)
-            if base is not None:
-                self.__class__ = base
 
     # -- introspection ---------------------------------------------------------
 
@@ -358,6 +337,10 @@ class LatchQueue(BroadcastQueue):
 
     __slots__ = ("_latched", "_has_value")
 
+    #: One live value: traced transfers report ``fill=1`` (see
+    #: :func:`repro.core.transport.traced`).
+    trace_shape = "latch"
+
     def __init__(self, n_consumers: int = 1, name: str = ""):
         super().__init__(capacity=1, n_consumers=n_consumers, name=name)
         self._latched: Any = None
@@ -405,85 +388,3 @@ class LatchQueue(BroadcastQueue):
         """Most recent latched value (used by RTP sinks)."""
         return self._latched
 
-
-# -- traced variants ----------------------------------------------------------
-#
-# No queue is ever *constructed* as one of these: ``attach_observer``
-# swaps ``__class__`` (legal — empty ``__slots__``, identical layout)
-# when a tracer with queue events attaches, and swaps back on detach.
-# Keeping the hooks out of the base transfer methods means an untraced
-# run executes exactly the code it would if repro.observe did not
-# exist; ``benchmarks/bench_observe_overhead.py`` holds that overhead
-# under 2% against monkeypatched hook-free controls.
-#
-# The wrappers emit *after* delegating, so fill levels are read from
-# post-transfer state: for a put that equals the occupancy the event
-# reports; for a get, ``head - cursor`` after the cursor advanced is
-# exactly the remaining backlog for that consumer.
-
-class _TracedBroadcastQueue(BroadcastQueue):
-    """BroadcastQueue that reports transfers to the attached tracer."""
-
-    __slots__ = ()
-
-    def try_put(self, value: Any) -> bool:
-        ok = BroadcastQueue.try_put(self, value)
-        if ok:
-            fill = (0 if self._n_active == 0
-                    else self._head - self._min_cursor_now())
-            self._observe.queue_put(self.name, 1, fill)
-        return ok
-
-    def try_put_many(self, values, start: int = 0) -> int:
-        n = BroadcastQueue.try_put_many(self, values, start)
-        if n:
-            fill = (0 if self._n_active == 0
-                    else self._head - self._min_cursor_now())
-            self._observe.queue_put(self.name, n, fill)
-        return n
-
-    def try_get(self, consumer_idx: int) -> Tuple[bool, Any]:
-        ok, value = BroadcastQueue.try_get(self, consumer_idx)
-        if ok:
-            self._observe.queue_get(
-                self.name, 1, self._head - self._cursors[consumer_idx]
-            )
-        return ok, value
-
-    def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
-        out = BroadcastQueue.try_get_many(self, consumer_idx, max_n)
-        if out:
-            self._observe.queue_get(
-                self.name, len(out),
-                self._head - self._cursors[consumer_idx]
-            )
-        return out
-
-
-class _TracedLatchQueue(LatchQueue):
-    """LatchQueue that reports transfers to the attached tracer.
-
-    A latch always holds at most one live value, so both event kinds
-    report ``fill=1``.  ``try_put_many`` needs no override: the base
-    implementation funnels through ``try_put``, which dispatches here.
-    """
-
-    __slots__ = ()
-
-    def try_put(self, value: Any) -> bool:
-        LatchQueue.try_put(self, value)
-        self._observe.queue_put(self.name, 1, 1)
-        return True
-
-    def try_get(self, consumer_idx: int) -> Tuple[bool, Any]:
-        ok, value = LatchQueue.try_get(self, consumer_idx)
-        if ok:
-            self._observe.queue_get(self.name, 1, 1)
-        return ok, value
-
-
-_TRACED_VARIANTS = {
-    BroadcastQueue: _TracedBroadcastQueue,
-    LatchQueue: _TracedLatchQueue,
-}
-_BASE_VARIANTS = {traced: base for base, traced in _TRACED_VARIANTS.items()}

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ..errors import (
     DeadlockError,
-    GraphRuntimeError,
     InjectedFaultError,
     IoBindingError,
 )
@@ -43,7 +42,7 @@ from .fused import (
     SourceFeed,
 )
 from .graph import ComputeGraph, Net
-from .ports import bind_kernel_ports
+from .ports import bind_kernel_ports, next_consumer
 from .queues import BroadcastQueue, DEFAULT_QUEUE_CAPACITY, LatchQueue
 from .result import RunResult, kernel_fraction
 from .scheduler import CooperativeScheduler, SchedulerStats, TaskState
@@ -53,6 +52,7 @@ from .sources_sinks import (
     make_sink,
     make_source,
 )
+from .transport import make_queue, traced
 
 if TYPE_CHECKING:
     from ..exec.spec import RunSpec
@@ -87,7 +87,7 @@ class RuntimeContext:
             if fault_plan is not None else None
         self.checkpoint_session = None
         self.optimize_plan = optimize_plan
-        self.queues: Dict[int, BroadcastQueue] = {}
+        self.queues: Dict[int, Any] = {}
         self._consumer_alloc: Dict[int, int] = {}  # net_id -> next idx
         self._kernel_ports: List[Tuple] = []       # per-instance port lists
         self._io_bound = False
@@ -103,6 +103,7 @@ class RuntimeContext:
         self._source_tasks: List = []
         self._drivers: List[FusedDriver] = []
         self._feeds: Dict[int, SourceFeed] = {}    # net_id -> feed
+        self._latches: Dict[int, LatchQueue] = {}  # RTP net_id -> latch
         # Containment wiring (repro.faults): which shared queues each
         # scheduler task reads (queue, consumer_idx) and writes, which
         # original instances each task carries, and the member makeup of
@@ -128,22 +129,29 @@ class RuntimeContext:
 
         # Step 1 (§3.6): recreate all I/O ports — one queue per net.
         # Under an optimize plan, elided nets get driver-local buffer
-        # fronts instead of scheduler-coupled broadcast queues.
+        # fronts instead of scheduler-coupled broadcast queues.  Tracing
+        # and fault proxies are installed here, before any kernel port
+        # captures a queue reference, tracing innermost so a dropped or
+        # frozen element never reaches the tracer.  Only nets the plan
+        # did not elide can carry a fault proxy; a targeted net turned
+        # into a driver-local front is reported by check_wired() rather
+        # than silently skipped.
+        tracer = spec.observe
+        session = self.fault_session
+        elided = link_nets | feed_nets | store_nets
         for net in graph.nets:
             n_consumers = len(net.consumers) + sum(
                 1 for io in graph.outputs if io.net_id == net.net_id
             )
             if net.settings.runtime_parameter:
-                q: BroadcastQueue = LatchQueue(
+                q: Any = LatchQueue(
                     n_consumers=max(n_consumers, 1), name=net.name,
                 )
+                self._latches[net.net_id] = q
             elif net.net_id in link_nets:
-                depth = net.settings.depth
-                if depth is None:
-                    attr_depth = net.attrs.get("depth")
-                    depth = int(attr_depth) if attr_depth is not None else 0
                 q = FusedLink(
-                    capacity=max(DEFAULT_QUEUE_CAPACITY, capacity, depth),
+                    capacity=max(DEFAULT_QUEUE_CAPACITY, capacity,
+                                 net.queue_depth(0)),
                     name=net.name,
                 )
             elif net.net_id in feed_nets:
@@ -152,13 +160,8 @@ class RuntimeContext:
             elif net.net_id in store_nets:
                 q = SinkStore(name=net.name)
             else:
-                depth = net.settings.depth
-                if depth is None:
-                    attr_depth = net.attrs.get("depth")
-                    depth = int(attr_depth) if attr_depth is not None else capacity
+                depth = net.queue_depth(capacity)
                 if transport is not None:
-                    from .transport import make_queue
-
                     q = make_queue(transport, capacity=depth,
                                    n_consumers=n_consumers,
                                    n_producers=max(len(net.producers), 1),
@@ -168,22 +171,12 @@ class RuntimeContext:
                         capacity=depth, n_consumers=n_consumers,
                         name=net.name,
                     )
+            q = traced(q, tracer)
+            if session is not None and net.net_id not in elided:
+                q = session.wrap_queue(net.name, q)
             self.queues[net.net_id] = q
             self._consumer_alloc[net.net_id] = 0
-
-        # Fault wiring (repro.faults): install stream-fault proxies now,
-        # before any kernel port captures a queue reference.  Only real
-        # broadcast queues can carry a proxy; a targeted net the
-        # optimize plan turned into a driver-local front is reported by
-        # check_wired() rather than silently skipped.
-        session = self.fault_session
         if session is not None:
-            for net in graph.nets:
-                if not session.wants_net(net.name):
-                    continue
-                q0 = self.queues[net.net_id]
-                if isinstance(q0, BroadcastQueue):
-                    self.queues[net.net_id] = session.wrap_queue(net.name, q0)
             session.check_wired()
 
         # Step 2 (§3.6): instantiate kernels and connect them.  Instances
@@ -223,15 +216,15 @@ class RuntimeContext:
                 for q in (self.queues[nid] for nid in chain.link_nets)}
         ins: List[Tuple[Any, int]] = []   # external reads of the chain
         outs: List[Any] = []              # external poisonable writes
+        internal = {id(self.queues[nid]) for nid in
+                    chain.link_nets + chain.feed_nets + chain.store_nets}
         for mb in chain.members:
             ports, reads, writes = bind_kernel_ports(
                 mb.name, mb.kernel, mb.port_nets, self.queues,
                 self._consumer_alloc, validate,
             )
-            ins += [r for r in reads
-                    if not isinstance(r[0], (FusedLink, SourceFeed))]
-            outs += [q for q in writes
-                     if not isinstance(q, (FusedLink, SinkStore))]
+            ins += [r for r in reads if id(r[0]) not in internal]
+            outs += [q for q in writes if id(q) not in internal]
             coro = mb.kernel.instantiate(ports)
             if session is not None:
                 coro = session.wrap_kernel(mb.name, coro,
@@ -303,8 +296,10 @@ class RuntimeContext:
                     else container
                 if validate:
                     value = net.dtype.validate(value)
-                q.try_put(value)  # latch; always succeeds
-            elif isinstance(q, SourceFeed):
+                # The pre-run value is configuration, written to the
+                # latch itself (always succeeds): not a traced transfer.
+                self._latches[gio.net_id].try_put(value)
+            elif gio.net_id in self._feeds:
                 # Net owned exclusively by a fused chain: the driver pulls
                 # elements straight from the container, no source task.
                 q.bind(net.dtype, container, validate,
@@ -321,18 +316,16 @@ class RuntimeContext:
             net = g.net(gio.net_id)
             q = self.queues[gio.net_id]
             if net.settings.runtime_parameter:
-                if not isinstance(q, LatchQueue):  # pragma: no cover
-                    raise GraphRuntimeError("RTP net lacks a latch queue")
-                self._rtp_sinks.append((gio.io_index, q, container))
-            elif isinstance(q, SinkStore):
+                self._rtp_sinks.append(
+                    (gio.io_index, self._latches[gio.net_id], container))
+            elif gio.net_id in self._store_owner:
                 # Fused-chain output: writes land in the container as the
                 # driver produces them, no sink task.
                 q.bind(net.dtype, container)
                 q.consumer_names.append(f"sink[{gio.io_index}]")
                 self._outputs.append((gio.io_index, container, net.dtype, q))
             else:
-                cidx = self._consumer_alloc[gio.net_id]
-                self._consumer_alloc[gio.net_id] = cidx + 1
+                cidx = next_consumer(self._consumer_alloc, gio.net_id)
                 coro, cursor = make_sink(q, cidx, net.dtype, container,
                                          batch=batch_io)
                 q.consumer_names.append(f"sink[{gio.io_index}]")
@@ -425,10 +418,8 @@ class RuntimeContext:
                                      failure_hook=hook)
         if hook is not None:
             hook.sched = sched
-        for net_id, q in self.queues.items():
+        for q in self.queues.values():
             q.bind_scheduler(sched)
-            if tracer is not None and tracer.queue_events:
-                q.attach_observer(tracer)
 
         # Kernels first (they were created suspended at construction),
         # then fused drivers, sources and sinks.

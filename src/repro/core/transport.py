@@ -21,11 +21,17 @@ Capacity / fill introspection (``describe_blockage``, wait-for analysis)
     ``is_full``, ``is_empty_for(idx)``, ``total_puts``/``total_gets``,
     and the endpoint labels ``producer_names``/``consumer_names``.
 
-Observe hooks (:mod:`repro.observe`)
-    ``attach_observer(tracer)`` — transports emit ``queue.put`` /
-    ``queue.get`` events with post-transfer fill levels when a tracer
-    with ``queue_events`` attaches, and pay **zero** per-transfer cost
-    otherwise.
+Queue tracing (:mod:`repro.observe`)
+    :func:`traced` wraps any transport in one proxy that emits
+    ``queue.put`` / ``queue.get`` events with post-transfer fill levels
+    (read through ``size_for``).  Engines wrap at queue construction
+    when the run's tracer has ``queue_events``, before any port
+    captures the queue; transports themselves carry no hook, so an
+    untraced transfer costs **zero** extra.  A transport whose events
+    differ from the ring's declares it once, as ``trace_shape``:
+    ``"latch"`` (one live value: ``fill=1`` on both sides) or
+    ``"transfer"`` (fused feeds/stores: each transfer is a put+get pair,
+    so per-queue metrics match an unfused run).
 
 Poison / freeze hooks (:mod:`repro.faults`)
     ``poison(origin)`` plus the ``poisoned``/``poison_origin`` markers
@@ -34,7 +40,9 @@ Poison / freeze hooks (:mod:`repro.faults`)
     faults wrap any transport in a
     :class:`~repro.faults.injectors.FaultyStreamQueue` proxy, which
     delegates everything it does not intercept — the proxy works on any
-    object satisfying this protocol.
+    object satisfying this protocol.  A faulted, traced net is
+    ``Faulty(Traced(q))``: a dropped or frozen element never reaches the
+    tracer.
 
 The registry below makes the set of transports enumerable (the
 conformance suite in ``tests/core/test_transport_conformance.py`` runs
@@ -57,6 +65,7 @@ __all__ = [
     "get_transport",
     "available_transports",
     "make_queue",
+    "traced",
 ]
 
 
@@ -86,9 +95,6 @@ class Transport(Protocol):
 
     # -- capacity / fill introspection ------------------------------------
     def size_for(self, consumer_idx: int) -> int: ...
-
-    # -- observe hook ------------------------------------------------------
-    def attach_observer(self, tracer) -> None: ...
 
     # -- poison / containment hooks ---------------------------------------
     def poison(self, origin: str) -> None: ...
@@ -172,6 +178,102 @@ def make_queue(transport: Any, capacity: int, n_consumers: int,
         factory = transport
     return factory(capacity=capacity, n_consumers=n_consumers,
                    n_producers=n_producers, name=name)
+
+
+def _ring_put(q, tracer, n: int) -> None:
+    # After a put the fullest consumer bounds the ring (a detached
+    # cursor reads 0).
+    fill = 0
+    for c in range(q.n_consumers):
+        size = q.size_for(c)
+        if size > fill:
+            fill = size
+    tracer.queue_put(q.name, n, fill)
+
+
+def _ring_get(q, tracer, consumer_idx: int, n: int) -> None:
+    tracer.queue_get(q.name, n, q.size_for(consumer_idx))
+
+
+def _latch_put(q, tracer, n: int) -> None:
+    tracer.queue_put(q.name, n, 1)
+
+
+def _latch_get(q, tracer, consumer_idx: int, n: int) -> None:
+    tracer.queue_get(q.name, n, 1)
+
+
+def _transfer_put(q, tracer, n: int) -> None:
+    tracer.queue_put(q.name, n, n)
+    tracer.queue_get(q.name, n, 0)
+
+
+def _transfer_get(q, tracer, consumer_idx: int, n: int) -> None:
+    _transfer_put(q, tracer, n)
+
+
+#: ``trace_shape`` -> (put reporter, get reporter); see module docs.
+_TRACE_SHAPES = {
+    "ring": (_ring_put, _ring_get),
+    "latch": (_latch_put, _latch_get),
+    "transfer": (_transfer_put, _transfer_get),
+}
+
+
+class _TracedQueue:
+    """Transparent tracing proxy over one transport.
+
+    Intercepts the four transfer methods, reports each accepted
+    transfer to the tracer after the inner call returns, and delegates
+    every other attribute (waiter lists, names, poison flags,
+    containment hooks, diagnostics) to the inner queue.
+    """
+
+    __slots__ = ("_inner", "_tracer", "_on_put", "_on_get")
+
+    def __init__(self, inner, tracer):
+        self._inner = inner
+        self._tracer = tracer
+        self._on_put, self._on_get = _TRACE_SHAPES[
+            getattr(inner, "trace_shape", "ring")]
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def __repr__(self):
+        return f"<TracedQueue {self._inner!r}>"
+
+    def try_put(self, value: Any) -> bool:
+        ok = self._inner.try_put(value)
+        if ok:
+            self._on_put(self._inner, self._tracer, 1)
+        return ok
+
+    def try_put_many(self, values, start: int = 0) -> int:
+        n = self._inner.try_put_many(values, start)
+        if n:
+            self._on_put(self._inner, self._tracer, n)
+        return n
+
+    def try_get(self, consumer_idx: int) -> Tuple[bool, Any]:
+        ok, value = self._inner.try_get(consumer_idx)
+        if ok:
+            self._on_get(self._inner, self._tracer, consumer_idx, 1)
+        return ok, value
+
+    def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
+        out = self._inner.try_get_many(consumer_idx, max_n)
+        if out:
+            self._on_get(self._inner, self._tracer, consumer_idx, len(out))
+        return out
+
+
+def traced(queue: Any, tracer) -> Any:
+    """*queue* wrapped to report its transfers to *tracer*, or *queue*
+    itself when *tracer* is ``None`` or records no queue events."""
+    if tracer is None or not tracer.queue_events:
+        return queue
+    return _TracedQueue(queue, tracer)
 
 
 def _ring_factory(capacity, n_consumers, n_producers=1, name=""):

@@ -13,7 +13,7 @@ Two injection points cover every fault class in a :class:`FaultPlan`:
 * :class:`FaultyStreamQueue` is a transparent proxy installed in front
   of a targeted net's queue *before* any kernel port captures a
   reference.  It delegates everything to the inner queue (waiter lists,
-  names, cursors, observers) and intercepts only the put/get surface to
+  names, cursors) and intercepts only the put/get surface to
   apply corrupt / drop / freeze / delay decisions.  Decisions are
   indexed by the count of *accepted* elements, so a put retried after
   backpressure sees the same verdict — injection stays deterministic
@@ -89,8 +89,10 @@ class FaultyStreamQueue:
     Works in front of both the cooperative :class:`BroadcastQueue` and
     the preemptive :class:`ThreadedBroadcastQueue`: every attribute not
     defined here resolves on the inner queue, so scheduler wiring,
-    waiter lists, observer class-swaps, poison flags, and diagnostics
-    all flow through untouched.
+    waiter lists, poison flags, and diagnostics all flow through
+    untouched.  On a traced net the inner queue is the
+    :func:`~repro.core.transport.traced` proxy, so an element this proxy
+    drops or holds back never reaches the tracer.
     """
 
     def __init__(self, inner, session, *, corrupts: Tuple = (),

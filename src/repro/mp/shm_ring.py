@@ -84,7 +84,6 @@ class ShmRing:
         # Diagnostic endpoint labels (Transport parity; process-local).
         self.producer_names: List[str] = []
         self.consumer_names: List[str] = []
-        self._observe = None
 
     # -- construction ------------------------------------------------------
 
@@ -137,9 +136,6 @@ class ShmRing:
     def bind_scheduler(self, scheduler) -> None:
         """Cross-process ring: nothing to wake in-process.  The worker
         pump bridges ring state changes to the local scheduler."""
-
-    def attach_observer(self, tracer) -> None:
-        self._observe = tracer
 
     #: Waiter-list parity with the in-process ring (always empty: parked
     #: tasks never park *on* the ring, the pump parks them on the local
@@ -256,8 +252,6 @@ class ShmRing:
                 payload
             self._set_header(wpos + ((_REC.size + len(payload) + 7) & ~7),
                              rpos, iw + n, ir, flags, olen)
-            if self._observe is not None:
-                self._observe.queue_put(self.name, n, iw + n - ir)
             return n
 
     def try_put(self, value: Any) -> bool:
@@ -280,8 +274,6 @@ class ShmRing:
             items = pickle.loads(payload)
             self._set_header(wpos, rpos + ((_REC.size + length + 7) & ~7),
                              iw, ir + n_items, flags, olen)
-            if self._observe is not None:
-                self._observe.queue_get(self.name, n_items, iw - ir - n_items)
             return items
         return None
 

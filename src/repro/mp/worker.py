@@ -44,10 +44,11 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..core.ports import bind_kernel_ports
+from ..core.ports import bind_kernel_ports, next_consumer
 from ..core.queues import BroadcastQueue, LatchQueue
 from ..core.scheduler import CooperativeScheduler, TaskState
 from ..core.sources_sinks import RuntimeParam, make_sink, make_source
+from ..core.transport import traced
 from ..errors import GraphRuntimeError
 from .codec import pack_values
 
@@ -161,7 +162,7 @@ class ShardRuntime:
         export_nets: List[Tuple[Any, Any, List[Tuple[int, Any]]]] = []
 
         # Local queue per net with any local endpoint (§3.6 step 1,
-        # restricted to the shard).  Mirrors RuntimeContext depth rules.
+        # restricted to the shard).
         for net in g.nets:
             local_cons = [ep for ep in net.consumers
                           if ep.instance_idx in local]
@@ -176,8 +177,6 @@ class ShardRuntime:
                     continue
                 q: Any = LatchQueue(n_consumers=max(len(local_cons), 1),
                                     name=net.name)
-                self.queues[net.net_id] = q
-                self._alloc[net.net_id] = 0
                 for gio in g.inputs:
                     if gio.net_id != net.net_id:
                         continue
@@ -185,7 +184,10 @@ class ShardRuntime:
                     value = c.value if isinstance(c, RuntimeParam) else c
                     if run.validate:
                         value = net.dtype.validate(value)
-                    q.try_put(value)
+                    q.try_put(value)  # pre-run configuration: untraced
+                q = traced(q, self.tracer)
+                self.queues[net.net_id] = q
+                self._alloc[net.net_id] = 0
                 for gio in rtp_outs:
                     self._rtp_out.append((gio.io_index, q))
                 continue
@@ -213,15 +215,11 @@ class ShardRuntime:
 
             n_consumers = (len(local_cons) + len(sinks_here)
                            + (1 if outbound else 0))
-            depth = net.settings.depth
-            if depth is None:
-                attr_depth = net.attrs.get("depth")
-                depth = int(attr_depth) if attr_depth is not None \
-                    else run.capacity
             # n_consumers may legitimately be 0 (an input net nothing
             # consumes); a phantom cursor would count as undrained data.
-            q = BroadcastQueue(capacity=depth, n_consumers=n_consumers,
-                               name=net.name)
+            q = traced(BroadcastQueue(capacity=net.queue_depth(run.capacity),
+                                      n_consumers=n_consumers, name=net.name),
+                       self.tracer)
             self.queues[net.net_id] = q
             self._alloc[net.net_id] = 0
             if inbound is not None:
@@ -254,7 +252,7 @@ class ShardRuntime:
         # them into the caller's containers in net FIFO order, so the
         # payload is bit-identical to a single-process run.
         for gio, q, net in sink_nets:
-            cidx = self._alloc_consumer(net.net_id)
+            cidx = next_consumer(self._alloc, net.net_id)
             store: List[Any] = []
             coro, _cursor = make_sink(q, cidx, net.dtype, store,
                                       batch=run.batch_io)
@@ -264,18 +262,13 @@ class ShardRuntime:
         # Export cursors are allocated last so kernel/sink consumer
         # indices match the single-process layout.
         for net_id, q, outbound in export_nets:
-            cidx = self._alloc_consumer(net_id)
+            cidx = next_consumer(self._alloc, net_id)
             q.consumer_names.append(f"export[w{spec.wid}]")
             rings = []
             for cw, ring in outbound:
                 ring.producer_names.append(f"w{spec.wid}:{q.name}")
                 rings.append(_ExportRing(ring, cw))
             self.exports.append(_Export(q, cidx, rings))
-
-    def _alloc_consumer(self, net_id: int) -> int:
-        idx = self._alloc[net_id]
-        self._alloc[net_id] = idx + 1
-        return idx
 
     # -- pumps --------------------------------------------------------------
 
@@ -394,8 +387,6 @@ class ShardRuntime:
                                      tracer=self.tracer)
         for q in self.queues.values():
             q.bind_scheduler(sched)
-            if self.tracer is not None and self.tracer.queue_events:
-                q.attach_observer(self.tracer)
 
         for name, coro in self._kernel_coros:
             sched.spawn(name, coro, kind="kernel")

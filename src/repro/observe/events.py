@@ -50,10 +50,11 @@ kind               meaning / populated fields
 =================  ==========================================================
 
 The no-op path is the design constraint: when tracing is off no Tracer
-exists, cgsim queues run their plain transfer methods (the traced
-subclass is only swapped in by ``attach_observer``), and the remaining
-hook sites — once per scheduler context switch, once per x86sim channel
-operation under its lock — are single ``is not None`` checks (see
+exists, every engine's queues run their plain transfer methods (queue
+events come from the one :func:`repro.core.transport.traced` proxy,
+installed at queue construction only when a tracer records queue
+events), and the remaining hook sites — once per scheduler context
+switch — are single ``is not None`` checks (see
 ``benchmarks/bench_observe_overhead.py``).
 """
 

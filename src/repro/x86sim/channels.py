@@ -51,7 +51,6 @@ class ThreadedBroadcastQueue:
         self._producers_left = n_producers
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._observe = None  # optional repro.observe.Tracer
         self.total_puts = 0
         self.total_gets = 0
         # API parity with the cooperative queue (unused under threads).
@@ -59,11 +58,6 @@ class ThreadedBroadcastQueue:
         self.write_waiters: List = []
         self.producer_names: List[str] = []
         self.consumer_names: List[str] = []
-
-    def attach_observer(self, tracer) -> None:
-        """Attach a :class:`repro.observe.Tracer` (or ``None``) that
-        receives ``queue.put``/``queue.get`` events with fill levels."""
-        self._observe = tracer
 
     def bind_scheduler(self, scheduler) -> None:
         """Transport-protocol parity: threads synchronise through the
@@ -132,9 +126,6 @@ class ThreadedBroadcastQueue:
                 self._slots[self._head % self.capacity] = value
             self._head += 1
             self.total_puts += 1
-            if self._observe is not None:
-                fill = 0 if m is None else self._head - m
-                self._observe.queue_put(self.name, 1, fill)
             self._cond.notify_all()
             return True
 
@@ -152,8 +143,6 @@ class ThreadedBroadcastQueue:
                 # no live consumers: writes are dropped, but accounted
                 self._head += n_values
                 self.total_puts += n_values
-                if self._observe is not None:
-                    self._observe.queue_put(self.name, n_values, 0)
                 return n_values
             free = self.capacity - (self._head - m)
             if free <= 0:
@@ -168,8 +157,6 @@ class ThreadedBroadcastQueue:
                 self._slots[0:n - run1] = values[start + run1:start + n]
             self._head = head + n
             self.total_puts += n
-            if self._observe is not None:
-                self._observe.queue_put(self.name, n, self._head - m)
             self._cond.notify_all()
             return n
 
@@ -201,8 +188,6 @@ class ThreadedBroadcastQueue:
             value = self._slots[cur % self.capacity]
             self._cursors[consumer_idx] = cur + 1
             self.total_gets += 1
-            if self._observe is not None:
-                self._observe.queue_get(self.name, 1, self._head - cur - 1)
             self._cond.notify_all()
             return True, value
 
@@ -228,8 +213,6 @@ class ThreadedBroadcastQueue:
                 out += self._slots[0:n - run1]
             self._cursors[consumer_idx] = cur + n
             self.total_gets += n
-            if self._observe is not None:
-                self._observe.queue_get(self.name, n, self._head - cur - n)
             self._cond.notify_all()
             return out
 
@@ -280,6 +263,10 @@ class ThreadedLatchQueue:
     poisoned = False
     poison_origin = ""
 
+    #: One live value: traced transfers report ``fill=1`` (see
+    #: :func:`repro.core.transport.traced`).
+    trace_shape = "latch"
+
     def __init__(self, n_consumers: int, name: str = ""):
         self.name = name
         self.n_consumers = n_consumers
@@ -287,7 +274,6 @@ class ThreadedLatchQueue:
         self._cond = threading.Condition(self._lock)
         self._value: Any = None
         self._has_value = False
-        self._observe = None
         self.total_puts = 0
         self.total_gets = 0
         self.read_waiters: List[List] = [[] for _ in range(max(n_consumers, 1))]
@@ -295,16 +281,11 @@ class ThreadedLatchQueue:
         self.producer_names: List[str] = []
         self.consumer_names: List[str] = []
 
-    def attach_observer(self, tracer) -> None:
-        self._observe = tracer
-
     def try_put(self, value: Any) -> bool:
         with self._cond:
             self._value = value
             self._has_value = True
             self.total_puts += 1
-            if self._observe is not None:
-                self._observe.queue_put(self.name, 1, 1)
             self._cond.notify_all()
             return True
 
@@ -322,8 +303,6 @@ class ThreadedLatchQueue:
             if not self._has_value:
                 return False, None
             self.total_gets += 1
-            if self._observe is not None:
-                self._observe.queue_get(self.name, 1, 1)
             return True, self._value
 
     def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:

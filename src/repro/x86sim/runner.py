@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.builder import CompiledGraph
 from ..core.graph import ComputeGraph
-from ..core.ports import bind_kernel_ports
+from ..core.ports import bind_kernel_ports, next_consumer
 from ..core.result import RunResult
 from ..core.sources_sinks import (
     RuntimeParam,
@@ -32,6 +32,7 @@ from ..core.sources_sinks import (
     iter_stream_values,
     sink_store,
 )
+from ..core.transport import traced
 from ..errors import (
     InjectedFaultError,
     PoisonSignal,
@@ -336,30 +337,25 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
             1 if net.net_id in input_nets else 0
         )
         if net.settings.runtime_parameter:
-            queues[net.net_id] = ThreadedLatchQueue(
+            q: Any = ThreadedLatchQueue(
                 n_consumers=max(n_consumers, 1), name=net.name
             )
         else:
-            depth = net.settings.depth
-            if depth is None:
-                attr_depth = net.attrs.get("depth")
-                depth = int(attr_depth) if attr_depth is not None else capacity
-            queues[net.net_id] = ThreadedBroadcastQueue(
-                capacity=depth, n_consumers=n_consumers,
+            q = ThreadedBroadcastQueue(
+                capacity=net.queue_depth(capacity), n_consumers=n_consumers,
                 n_producers=n_producers, name=net.name,
             )
-        if tracer is not None and tracer.queue_events:
-            queues[net.net_id].attach_observer(tracer)
-        if session is not None and session.wants_net(net.name) \
-                and not net.settings.runtime_parameter:
-            # The fault proxy must wrap before any port/thread captures
-            # the channel reference.
-            queues[net.net_id] = session.wrap_queue(
-                net.name, queues[net.net_id]
-            )
+        q = traced(q, tracer)
+        if session is not None and not net.settings.runtime_parameter:
+            # Tracing sits inside the fault proxy, and both wrap before
+            # any port/thread captures the channel reference.
+            q = session.wrap_queue(net.name, q)
+        queues[net.net_id] = q
         consumer_alloc[net.net_id] = 0
     if session is not None:
         session.check_wired()
+    latch_ids = {id(queues[net.net_id]) for net in g.nets
+                 if net.settings.runtime_parameter}
 
     threads: List[threading.Thread] = []
 
@@ -369,8 +365,7 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
         ports, reads, out_queues = bind_kernel_ports(
             name, inst.kernel, inst.port_nets, queues, consumer_alloc,
         )
-        in_bindings = [r for r in reads
-                       if not isinstance(r[0], ThreadedLatchQueue)]
+        in_bindings = [r for r in reads if id(r[0]) not in latch_ids]
         coro = inst.kernel.instantiate(ports)
         if session is not None:
             coro = session.wrap_kernel(name, coro)
@@ -404,8 +399,7 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
         if net.settings.runtime_parameter:
             rtp_sinks.append((q, container))
             continue
-        cidx = consumer_alloc[gio.net_id]
-        consumer_alloc[gio.net_id] = cidx + 1
+        cidx = next_consumer(consumer_alloc, gio.net_id)
         store, _many, _cursor = sink_store(net.dtype, container)
         q.consumer_names.append(f"sink[{gio.io_index}]")
         t = _SinkThread(f"sink[{gio.io_index}]", q, cidx, store, timeout,
