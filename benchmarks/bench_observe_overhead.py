@@ -23,6 +23,11 @@ per-transfer overhead:
 * **full** — tracing on with per-element queue events
   (``observe=True``), the most expensive configuration.
 
+``test_tracing_off_bytecodes_equal_control`` states the control/off
+claim exactly: both paths execute the same number of bytecodes on 16
+blocks, a count that does not depend on the machine.  The 2% wall-clock
+bound below stays until that count gate has run in CI (ROADMAP 3b).
+
 Control and off runs are interleaved and the minimum over several
 rounds is compared, which suppresses one-sided drift (thermal, page
 cache) that a sequential A-then-B layout would fold into the result.
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import sys
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, List, Tuple
@@ -224,6 +230,44 @@ def _make_run(reps: int):
         return len(out)
 
     return run
+
+
+def _count_opcodes(fn) -> int:
+    """Bytecodes *fn* executes on this thread (``sys.settrace`` with
+    ``f_trace_opcodes``): a machine-independent cost count."""
+    n = 0
+
+    def local(frame, event, arg):
+        nonlocal n
+        if event == "opcode":
+            n += 1
+        return local
+
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(enter)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return n
+
+
+def test_tracing_off_bytecodes_equal_control():
+    """The tracing-off claim as an exact count: 16 bitonic blocks on
+    cgsim execute as many bytecodes on the normal path as with the
+    control copies installed, on any machine."""
+    run = _make_run(16)
+    run()                       # warm caches (lru tables, plan state)
+    with _uninstrumented_queues():
+        run()
+        control = _count_opcodes(run)
+    off = _count_opcodes(run)
+    assert off == control, (
+        f"tracing-off path executes {off - control:+d} bytecodes against "
+        f"the control ({off} vs {control}) on 16 bitonic blocks")
 
 
 def _time(fn) -> float:

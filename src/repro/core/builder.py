@@ -379,9 +379,9 @@ class CompiledGraph:
         """Instantiate and run the graph with the given sources/sinks
         on the cgsim runtime (options as ``run_graph(backend="cgsim")``
         takes them); returns the :class:`~repro.core.result.RunResult`."""
-        from ..exec.backends import call_graph
+        from ..exec import run_graph
 
-        return call_graph(self, io, run_options)
+        return run_graph(self, *io, backend="cgsim", **run_options)
 
     def __repr__(self):
         return f"<CompiledGraph {self.name!r}>"

@@ -84,7 +84,7 @@ class RunResult:
     items_in: int
     items_out: int
     completed: bool
-    #: Correlation id of this run (minted by :func:`run_graph`, or
+    #: Correlation id of this run (minted by ``ExecutionBackend.run``, or
     #: accepted from the caller / an inbound serve header); stamped on
     #: every schema-2 trace event and any :class:`FailureReport`.
     run_id: str = ""

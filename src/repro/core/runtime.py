@@ -51,6 +51,7 @@ from .sources_sinks import (
     check_io,
     make_sink,
     make_source,
+    preset_rtp,
 )
 from .transport import make_queue, traced
 
@@ -292,13 +293,8 @@ class RuntimeContext:
             net = g.net(gio.net_id)
             q = self.queues[gio.net_id]
             if net.settings.runtime_parameter:
-                value = container.value if isinstance(container, RuntimeParam) \
-                    else container
-                if validate:
-                    value = net.dtype.validate(value)
-                # The pre-run value is configuration, written to the
-                # latch itself (always succeeds): not a traced transfer.
-                self._latches[gio.net_id].try_put(value)
+                preset_rtp(self._latches[gio.net_id], net.dtype, container,
+                           validate)
             elif gio.net_id in self._feeds:
                 # Net owned exclusively by a fused chain: the driver pulls
                 # elements straight from the container, no source task.
@@ -460,8 +456,6 @@ class RuntimeContext:
             if step_hook is not None:
                 sched.step_hook = step_hook
 
-        if tracer is not None:
-            tracer.run_begin(self.graph.name, label)
         watchdog = spec.watchdog
         if watchdog is not None:
             queues = list(self.queues.values())
@@ -522,11 +516,6 @@ class RuntimeContext:
             if watchdog is not None:
                 watchdog.stop()
             sched.close()
-            if tracer is not None:
-                # Emitted on aborts too, so crashed runs still export:
-                # the run.end marker closes the trace and owned sinks
-                # are flushed to disk before the exception propagates.
-                tracer.run_end(self.graph.name, label)
             if sched.teardown_errors:
                 # A kernel intercepting GeneratorExit during teardown
                 # must not mask the primary exception; ride the list on

@@ -217,9 +217,9 @@ class SerializedGraph:
         included, and so is the returned
         :class:`~repro.core.result.RunResult`.
         """
-        from ..exec.backends import call_graph
+        from ..exec import run_graph
 
-        return call_graph(self, io, run_options)
+        return run_graph(self, *io, backend="cgsim", **run_options)
 
 
 def flatten_graph(graph: ComputeGraph) -> SerializedGraph:

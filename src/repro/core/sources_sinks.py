@@ -41,6 +41,7 @@ __all__ = [
     "make_sink",
     "sink_store",
     "rtp_sink",
+    "preset_rtp",
     "check_io",
     "ArraySinkCursor",
 ]
@@ -334,6 +335,17 @@ def rtp_sink(name: str, container: Any) -> RuntimeParam:
             f"RuntimeParam sink"
         )
     return container
+
+
+def preset_rtp(latch: Any, dtype: Any, container: Any,
+               validate: bool = False) -> None:
+    """Write a graph's pre-run RTP input *container* (a value or a
+    :class:`RuntimeParam`) into its latch.  Engines call it on the raw
+    latch, before :func:`~repro.core.transport.traced` wraps it: the
+    value is configuration, not a traced transfer."""
+    value = container.value if isinstance(container, RuntimeParam) \
+        else container
+    latch.try_put(dtype.validate(value) if validate else value)
 
 
 def check_io(graph: Any, io: Any) -> None:

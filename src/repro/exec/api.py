@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import abc
 import threading
+import time
 import uuid
 import weakref
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from ..core.result import RunResult, summarize_sink
 from ..errors import GraphRuntimeError
 from .spec import RunSpec, bind_options
-from .spec import coerce_retry as _coerce_retry  # noqa: F401 - re-export
 
 __all__ = [
     "RunResult",
@@ -74,6 +75,11 @@ class ExecutionPlan:
 # ---------------------------------------------------------------------------
 
 
+def _new_run_id() -> str:
+    """A fresh cross-layer correlation id."""
+    return "r-" + uuid.uuid4().hex[:12]
+
+
 class ExecutionBackend(abc.ABC):
     """One execution engine behind the unified entry point.
 
@@ -100,8 +106,17 @@ class ExecutionBackend(abc.ABC):
         :func:`run_graph` calls); reads every option from *spec*."""
 
     def run(self, plan: ExecutionPlan, *, profile: bool = False) -> RunResult:
-        """Drive a prepared plan to completion: claim it, run the engine
-        on its spec, and close a tracer the spec's binding built.
+        """Drive a prepared plan to completion: the one run core every
+        entry point (``run_graph``, the graph call operators,
+        ``run_threaded``) goes through.
+
+        Claims the plan, mints a run id when the spec has none (a
+        caller's tracer with a pinned id wins), brackets the engine
+        between ``run.begin`` and ``run.end`` (emitted on aborts too, so
+        crashed runs still export), then stamps the id on the result and
+        any :class:`~repro.faults.FailureReport`, fills ``profile``/
+        ``profile_path`` and ``trace``/``metrics``, and closes a tracer
+        the spec's binding built.
 
         ``profile=True`` turns per-kernel timing on where the engine
         honours ``profile`` (the cooperative backends).  Plans are
@@ -120,12 +135,51 @@ class ExecutionBackend(abc.ABC):
         plan._consumed = True
         spec = plan.spec
         if profile and spec.profile is False:
-            spec = plan.spec = spec.replace(profile=True)
+            spec = spec.replace(profile=True)
+        tracer = spec.observe
+        rid = spec.run_id or _new_run_id()
+        if tracer is not None:
+            tracer.set_context(run_id=rid)
+            rid = tracer.run_id or rid
+        if spec.checkpoint is not None and not spec.checkpoint.run_id:
+            spec.checkpoint.run_id = rid
+        plan.spec = spec = spec.replace(run_id=rid)
+        name = plan.graph.name
         try:
-            return self.execute(plan)
+            if tracer is not None:
+                tracer.run_begin(name, self.name)
+            try:
+                result = self.execute(plan)
+            finally:
+                if tracer is not None:
+                    tracer.run_end(name, self.name)
+            result.run_id = rid
+            if result.failure is not None and not result.failure.run_id:
+                result.failure.run_id = rid
+            sampler = spec.profiler
+            if sampler is not None:
+                if result.profile is None:  # cgsim-mp merges its workers'
+                    result.profile = sampler.report()
+                if sampler.out:
+                    from ..observe.profile import FLAME_SUFFIX, flamegraph_name
+
+                    dest = Path(sampler.out)
+                    if not str(dest).endswith(FLAME_SUFFIX):
+                        dest = dest / flamegraph_name(result.graph_name, rid)
+                    result.profile_path = str(
+                        result.profile.write_collapsed(dest))
+            if tracer is not None:
+                result.trace = tracer
+                result.metrics = metrics = tracer.metrics()
+                if metrics is not None:
+                    metrics.run_id = metrics.run_id or rid
+                    if result.profile is not None \
+                            and result.profile.n_samples:
+                        metrics.profile = result.profile.self_table()
+            return result
         finally:
             if spec.owns_tracer:
-                spec.observe.close()
+                tracer.close()
 
     @abc.abstractmethod
     def execute(self, plan: ExecutionPlan) -> RunResult:
@@ -249,22 +303,9 @@ def _check_replayable(sources) -> None:
             )
 
 
-def _next_resume(graph: Any, prev: Any, *, exc: Any = None,
-                 result: Any = None) -> Any:
-    """Resume state for the next retry attempt: the newest checkpoint
-    the failed attempt left behind, or the previous state when the
-    attempt died before capturing one."""
-    path = ""
-    if exc is not None:
-        path = str(getattr(exc, "checkpoint_path", "") or "")
-    if not path and result is not None:
-        fr = result.failure
-        if fr is not None:
-            path = str(getattr(fr, "checkpoint_path", "") or "")
-        if not path:
-            info = getattr(result, "checkpoint", None)
-            if info is not None:
-                path = str(getattr(info, "last", "") or "")
+def _resume_state(graph: Any, path: str, prev: Any) -> Any:
+    """The checkpoint at *path* as the next retry attempt's resume
+    state, or *prev* when the failed attempt captured none."""
     if not path:
         return prev
     from ..checkpoint.resume import ResumeState
@@ -272,6 +313,82 @@ def _next_resume(graph: Any, prev: Any, *, exc: Any = None,
     rs = ResumeState.load(path)
     rs.verify_graph(graph)
     return rs
+
+
+def _attempt(b: ExecutionBackend, graph: Any, io: Tuple[Any, ...],
+             n_inputs: int, spec: RunSpec, rs: Any):
+    """One run and its commit.  Without a checkpoint *rs* that is the
+    plain ``b.run(b.prepare_spec(...))``.  With one, the run continues
+    from it into scratch sinks, and the commit verifies them against
+    the recorded prefix before it writes the caller's sinks."""
+    if rs is None:
+        result = b.run(b.prepare_spec(graph, io, spec))
+        return result, lambda: result
+    sinks = tuple(io[n_inputs:])
+    scratch = rs.make_scratch(sinks)
+    if spec.faults is not None:
+        spec = spec.replace(faults=rs.filter_faults(spec.faults))
+    result = b.run(b.prepare_spec(
+        graph, tuple(io[:n_inputs]) + tuple(scratch), spec))
+
+    def splice() -> RunResult:
+        rs.splice(sinks, scratch, completed=result.completed)
+        result.outputs = list(sinks)
+        result.resumed_from = rs.path
+        result.suppressed_faults = list(rs.suppressed)
+        return result
+
+    return result, splice
+
+
+def _retried(b: ExecutionBackend, graph: Any, io: Tuple[Any, ...],
+             n_inputs: int, spec: RunSpec, rs: Any) -> RunResult:
+    """Up to ``spec.retry.attempts`` runs: a try that raises or returns
+    a contained failure is repeated after the policy's backoff, list
+    sinks cleared.  Every try shares one run id and one tracer; with
+    ``resume=True`` each restarts from the last checkpoint."""
+    from ..faults.report import AttemptRecord
+
+    policy = spec.retry
+    spec = spec.replace(run_id=spec.run_id or _new_run_id(),
+                        owns_tracer=False)   # run_graph closes it
+    attempts: List[Any] = []
+    for attempt in range(policy.attempts):
+        last = attempt == policy.attempts - 1
+        if attempt > 0:
+            delay = policy.delay_before(attempt)
+            if delay > 0.0:
+                time.sleep(delay)
+            for sink in io[n_inputs:]:
+                if isinstance(sink, list):
+                    del sink[:]
+        try:
+            result, commit = _attempt(b, graph, io, n_inputs, spec, rs)
+        except Exception as exc:
+            if last:
+                raise
+            attempts.append(AttemptRecord(
+                index=attempt, outcome="raised", error=exc))
+            if policy.resume:
+                rs = _resume_state(
+                    graph, getattr(exc, "checkpoint_path", ""), rs)
+            continue
+        fr = result.failure
+        attempts.append(AttemptRecord(
+            index=attempt, outcome="ok" if fr is None else "failed",
+            error=fr.failures[0].error
+            if fr is not None and fr.failures else None,
+            failing_task=fr.failing_task if fr is not None else "",
+        ))
+        if fr is None or last:
+            result.attempts = attempts
+            # Outside the try: a CheckpointDivergence is a
+            # determinism violation, never a transient failure.
+            return commit()
+        if policy.resume:
+            info = result.checkpoint
+            rs = _resume_state(graph, fr.checkpoint_path or (
+                info.last if info is not None else ""), rs)
 
 
 def run_graph(graph: Any, *io: Any, backend: str = "cgsim",
@@ -282,14 +399,16 @@ def run_graph(graph: Any, *io: Any, backend: str = "cgsim",
               checkpoint: Any = None, resume_from: Any = None,
               **options: Any) -> RunResult:
     """Execute *graph* on the named backend: the single entry point all
-    benchmarks, examples, and the differential harness go through.
+    benchmarks, examples, the differential harness and the graph call
+    operators go through.
 
     Positional ``io`` follows §3.7: data sources for every global input
     (in order), then sink containers for every global output.  Every
     option, keyword parameters included, is validated once against the
     run-option table (:mod:`repro.exec.spec`) into one frozen
     :class:`~repro.exec.spec.RunSpec` before the backend prepares
-    anything: an option the backend rejects raises here.
+    anything: an option the backend rejects raises here.  The run
+    itself is :meth:`ExecutionBackend.run`; retry and resume wrap it.
 
     ``observe`` (alias ``trace``; any form
     :func:`repro.observe.make_tracer` takes) traces the run with the same
@@ -309,7 +428,7 @@ def run_graph(graph: Any, *io: Any, backend: str = "cgsim",
     :func:`repro.observe.profile.coerce_profile` documents: ``True``
     for per-kernel timing, or a stack-sampler request.
 
-    ``run_id`` is the cross-layer correlation id: minted here when not
+    ``run_id`` is the cross-layer correlation id: minted when not
     supplied, stamped on every trace event (schema 2), any contained
     :class:`~repro.faults.FailureReport`, the flamegraph filename, and
     ``result.run_id``.  ``labels`` (e.g. tenant/graph from the serve
@@ -334,132 +453,34 @@ def run_graph(graph: Any, *io: Any, backend: str = "cgsim",
     spec = bind_options(backend, dict(  # profile=False is "not set"
         options, profile=profile or None, observe=observe, trace=trace,
         retry=retry, run_id=run_id, checkpoint=checkpoint))
-    rid = spec.run_id or "r-" + uuid.uuid4().hex[:12]
-    tracer, owned = spec.observe, spec.owns_tracer
-    if tracer is not None:
-        # A caller-owned tracer with a pinned run_id wins over the mint.
-        tracer.set_context(run_id=rid, labels=labels)
-        rid = tracer.run_id or rid
-    ckpt_policy = spec.checkpoint
-    if ckpt_policy is not None and not ckpt_policy.run_id:
-        ckpt_policy.run_id = rid
-    # Engines only borrow the tracer: run_graph closes one it built.
-    spec = spec.replace(run_id=rid, owns_tracer=False)
+    if labels and spec.observe is not None:
+        spec.observe.set_context(labels=labels)
     policy = spec.retry
-    sampler = spec.profiler
-    rs = None
-    if resume_from is not None:
-        from ..checkpoint.resume import ResumeState
+    try:
+        if policy is None and resume_from is None:
+            return b.run(b.prepare_spec(graph, io, spec))
+        rs = None
+        if resume_from is not None:
+            from ..checkpoint.resume import ResumeState
 
-        rs = ResumeState.load(resume_from)
-    resume_retries = policy is not None and getattr(policy, "resume", False)
-    if resume_retries and ckpt_policy is None and rs is None:
-        raise GraphRuntimeError(
-            "RetryPolicy(resume=True) needs a checkpoint to resume from: "
-            "pass checkpoint= so failed attempts capture one, or "
-            "resume_from= to seed the first attempt"
-        )
-
-    n_inputs = 0
-    if policy is not None or rs is not None:
+            rs = ResumeState.load(resume_from)
+        if policy is not None and policy.resume \
+                and spec.checkpoint is None and rs is None:
+            raise GraphRuntimeError(
+                "RetryPolicy(resume=True) needs a checkpoint to resume "
+                "from: pass checkpoint= so failed attempts capture one, "
+                "or resume_from= to seed the first attempt"
+            )
         n_inputs = len(resolve_graph(graph).inputs)
         # Retry and resume both re-bind the original inputs.
         _check_replayable(io[:n_inputs])
-        sinks = io[n_inputs:]
-    if rs is not None:
-        rs.verify_graph(graph)
-
-    attempts: List[Any] = []
-    try:
-        for attempt in range(policy.attempts if policy is not None else 1):
-            from ..faults.report import AttemptRecord
-
-            last = attempt == (policy.attempts - 1 if policy else 0)
-            if policy is not None and attempt > 0:
-                import time as _time
-
-                delay = policy.delay_before(attempt)
-                if delay > 0.0:
-                    _time.sleep(delay)
-                for sink in sinks:
-                    if isinstance(sink, list):
-                        del sink[:]
-            attempt_io, attempt_spec = io, spec
-            scratch = None
-            if rs is not None:
-                # Resume executes into scratch containers so the
-                # caller's sinks stay untouched until the re-run is
-                # digest-verified against the checkpoint prefix.
-                scratch = rs.make_scratch(tuple(io[n_inputs:]))
-                if spec.faults is not None:
-                    attempt_spec = spec.replace(
-                        faults=rs.filter_faults(spec.faults))
-                attempt_io = tuple(io[:n_inputs]) + tuple(scratch)
-            try:
-                plan = b.prepare_spec(graph, attempt_io, attempt_spec)
-                result = b.run(plan)
-            except Exception as exc:
-                if policy is None or last:
-                    raise
-                attempts.append(AttemptRecord(
-                    index=attempt, outcome="raised", error=exc,
-                ))
-                if resume_retries:
-                    rs = _next_resume(graph, rs, exc=exc)
-                continue
-            if policy is not None:
-                fr = result.failure
-                attempts.append(AttemptRecord(
-                    index=attempt,
-                    outcome="ok" if fr is None else "failed",
-                    error=fr.failures[0].error
-                    if fr is not None and fr.failures else None,
-                    failing_task=fr.failing_task if fr is not None else "",
-                ))
-                if fr is not None and not last:
-                    if resume_retries:
-                        rs = _next_resume(graph, rs, result=result)
-                    continue
-            if rs is not None:
-                # Verify + splice deliberately OUTSIDE the try above: a
-                # CheckpointDivergence is a determinism violation, not a
-                # transient failure — it must propagate, never retry.
-                rs.splice(tuple(io[n_inputs:]), scratch,
-                          completed=result.completed)
-                result.outputs = list(io[n_inputs:])
-                result.resumed_from = rs.path
-                result.suppressed_faults = list(rs.suppressed)
-            break
-    except BaseException:
-        if tracer is not None and owned:
-            tracer.close()
-        raise
-    result.attempts = attempts
-    result.run_id = rid
-    if result.failure is not None and not getattr(
-            result.failure, "run_id", ""):
-        result.failure.run_id = rid
-    if sampler is not None:
-        if result.profile is None:  # mp merges worker reports itself
-            result.profile = sampler.report()
-        if sampler.out:
-            from pathlib import Path
-
-            from ..observe.profile import FLAME_SUFFIX, flamegraph_name
-
-            dest = Path(sampler.out)
-            if not str(dest).endswith(FLAME_SUFFIX):
-                dest = dest / flamegraph_name(result.graph_name, rid)
-            result.profile_path = str(
-                result.profile.write_collapsed(dest))
-    if tracer is not None:
-        result.trace = tracer
-        result.metrics = tracer.metrics()
-        if result.metrics is not None:
-            if not result.metrics.run_id:
-                result.metrics.run_id = rid
-            if result.profile is not None and result.profile.n_samples:
-                result.metrics.profile = result.profile.self_table()
-        if owned:
-            tracer.close()
-    return result
+        if rs is not None:
+            rs.verify_graph(graph)
+        if policy is not None:
+            return _retried(b, graph, io, n_inputs, spec, rs)
+        return _attempt(b, graph, io, n_inputs, spec, rs)[1]()
+    finally:
+        # Also when prepare raised before ExecutionBackend.run took the
+        # tracer over (closing is idempotent).
+        if spec.owns_tracer:
+            spec.observe.close()

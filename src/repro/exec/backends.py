@@ -9,27 +9,18 @@ module's serialization glue directly.  Every engine takes the bound
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 from .api import (
     ExecutionBackend,
     ExecutionPlan,
     RunResult,
-    get_backend,
     register_backend,
     resolve_graph,
 )
 from .spec import RunSpec
 
-__all__ = ["CgsimBackend", "X86simBackend", "PysimBackend", "call_graph"]
-
-
-def call_graph(graph: Any, io: Tuple[Any, ...], options: Dict[str, Any],
-               backend: str = "cgsim") -> RunResult:
-    """The graph call operators (§3.6): one run of *graph* on *backend*,
-    its options bound as :meth:`ExecutionBackend.prepare` binds them."""
-    b = get_backend(backend)
-    return b.run(b.prepare(graph, io, **options))
+__all__ = ["CgsimBackend", "X86simBackend", "PysimBackend"]
 
 
 @register_backend

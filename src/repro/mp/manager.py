@@ -285,11 +285,11 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
     ``"isolate"`` returns the result with a contained
     :class:`~repro.faults.FailureReport` instead.
 
-    ``run_id`` (defaulting to the tracer's context when set) is the
-    cross-process correlation id every worker stamps on its events.  The
-    ``watchdog`` polls the shared-memory ring header counters plus
-    worker-report arrivals, so a wedged farm surfaces a ``health.stall``
-    event instead of silence.  A stack sampler in ``profile`` runs in
+    ``spec.run_id`` (set by :meth:`~repro.exec.ExecutionBackend.run`)
+    is the cross-process correlation id every worker stamps on its
+    events.  The ``watchdog`` polls the shared-memory ring header
+    counters plus worker-report arrivals, so a wedged farm surfaces a
+    ``health.stall`` event instead of silence.  A stack sampler in ``profile`` runs in
     every worker at its interval (merged report on ``result.profile``).
 
     ``checkpoint`` enables manager-side capture of the merged surviving
@@ -306,21 +306,8 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
     check_io(graph, io)
     placement = place_graph(graph, spec.workers)
     n_workers = placement.n_workers
-    tracer, run_id, checkpoint = spec.observe, spec.run_id, spec.checkpoint
-    backend_label = spec.backend
-    labels = None
-    if tracer is not None:
-        if not run_id:
-            run_id = getattr(tracer, "run_id", "") or ""
-        elif hasattr(tracer, "set_context"):
-            tracer.set_context(run_id=run_id)  # fills only if unset
-        labels = getattr(tracer, "labels", None)
-
-    dog = spec.watchdog
-
+    tracer, checkpoint, dog = spec.observe, spec.checkpoint, spec.watchdog
     t0 = perf_counter()
-    if tracer is not None:
-        tracer.run_begin(graph.name, backend_label)
 
     rings: Dict[Tuple[int, int, int], ShmRing] = {}
     ctx = multiprocessing.get_context("fork")
@@ -347,8 +334,7 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
 
         for wid in range(n_workers):
             wspec = WorkerSpec(wid=wid, placement=placement, io=io,
-                               rings=rings, run=spec, run_id=run_id,
-                               labels=labels)
+                               rings=rings, run=spec)
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             p = ctx.Process(target=worker_main, args=(wspec, child_conn),
                             daemon=True, name=f"cgsim-mp-w{wid}")
@@ -442,13 +428,7 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
         items_out, sink_counts = _merge_outputs(graph, placement, io,
                                                 results)
         _merge_events(tracer, results)
-        if tracer is not None:
-            tracer.run_end(graph.name, backend_label)
         profile_report = _merge_profiles(results)
-
-        if failure_report is not None and run_id \
-                and not failure_report.run_id:
-            failure_report.run_id = run_id
 
         ckpt_info = None
         if checkpoint is not None:
@@ -469,7 +449,7 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
                         items_in=sum(m.get("items_in", 0)
                                      for m in results.values()),
                         items_out=items_out, counts=sink_counts,
-                        run_id=run_id, tracer=tracer,
+                        run_id=spec.run_id, tracer=tracer,
                     )
                 except Exception:
                     # A failed capture must never mask the run outcome.
@@ -502,7 +482,7 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
 
         deadlocked = bool(stall_lines) and failure_report is None
         return RunResult(
-            backend=backend_label,
+            backend=spec.backend,
             graph_name=graph.name,
             outputs=list(io[len(graph.inputs):]),
             wall_time=wall,
@@ -510,7 +490,6 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
             items_out=items_out,
             completed=not deadlocked and failure_report is None
             and len(results) == n_workers,
-            run_id=run_id,
             context_switches=sum(
                 m.get("context_switches", 0) for m in results.values()
             ),

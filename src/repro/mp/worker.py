@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 from ..core.ports import bind_kernel_ports, next_consumer
 from ..core.queues import BroadcastQueue, LatchQueue
 from ..core.scheduler import CooperativeScheduler, TaskState
-from ..core.sources_sinks import RuntimeParam, make_sink, make_source
+from ..core.sources_sinks import make_sink, make_source, preset_rtp
 from ..core.transport import traced
 from ..errors import GraphRuntimeError
 from .codec import pack_values
@@ -73,10 +73,6 @@ class WorkerSpec:
     io: Tuple[Any, ...]                             # caller's sources + sinks
     rings: Dict[Tuple[int, int, int], Any]
     run: "RunSpec"                                  # the bound run options
-    #: Trace-context correlation id stamped on every event this worker
-    #: emits (schema v2); empty = no correlation context.
-    run_id: str = ""
-    labels: Optional[Dict[str, str]] = None
 
 
 class _Import:
@@ -147,8 +143,8 @@ class ShardRuntime:
             self.tracer = Tracer(RingSink(maxlen=None),
                                  queue_events=run.observe.queue_events,
                                  metrics=False,
-                                 run_id=spec.run_id,
-                                 labels=spec.labels)
+                                 run_id=run.run_id,
+                                 labels=run.observe.labels)
 
         self.queues: Dict[int, Any] = {}
         self._alloc: Dict[int, int] = {}
@@ -178,13 +174,9 @@ class ShardRuntime:
                 q: Any = LatchQueue(n_consumers=max(len(local_cons), 1),
                                     name=net.name)
                 for gio in g.inputs:
-                    if gio.net_id != net.net_id:
-                        continue
-                    c = spec.io[gio.io_index]
-                    value = c.value if isinstance(c, RuntimeParam) else c
-                    if run.validate:
-                        value = net.dtype.validate(value)
-                    q.try_put(value)  # pre-run configuration: untraced
+                    if gio.net_id == net.net_id:
+                        preset_rtp(q, net.dtype, spec.io[gio.io_index],
+                                   run.validate)
                 q = traced(q, self.tracer)
                 self.queues[net.net_id] = q
                 self._alloc[net.net_id] = 0

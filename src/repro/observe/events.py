@@ -18,7 +18,7 @@ even when emitted from multiple threads (x86sim).
 
 Schema 2 adds four correlation fields, all default-omitted so v1
 consumers keep working unchanged: ``run`` (the ``run_id`` minted by
-:func:`repro.exec.run_graph` or accepted from an inbound
+:meth:`repro.exec.ExecutionBackend.run` or accepted from an inbound
 ``X-Run-Id``/``traceparent`` header), ``labels`` (tenant/graph context
 stamped by the serve layer), and ``worker``/``seq`` (originating
 cgsim-mp worker id and per-worker sequence number, stamped at merge
@@ -218,7 +218,7 @@ class Tracer:
     run_id:
         Correlation id stamped on every emitted event (schema-2 ``run``
         field).  Usually set after construction by
-        :func:`repro.exec.run_graph` via :meth:`set_context`.
+        :meth:`repro.exec.ExecutionBackend.run` via :meth:`set_context`.
     labels:
         Context labels (tenant/graph) stamped on every emitted event as
         a shared dict reference.

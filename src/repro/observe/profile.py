@@ -198,7 +198,7 @@ class SamplingProfiler:
                 f"profile interval must be > 0, got {interval}")
         self.interval = float(interval)
         #: Optional output directory (or file path) for the collapsed
-        #: flamegraph; consumed by ``run_graph`` after the run.
+        #: flamegraph; written by ``ExecutionBackend.run`` after the run.
         self.out = out
         self._stop_ev = threading.Event()
         self._thread: Optional[threading.Thread] = None

@@ -66,7 +66,7 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 def log2_ms_buckets(n: int) -> Tuple[float, ...]:
     """Upper bounds in *seconds* for a log2 millisecond ladder:
     ``<=1ms, <=2ms, <=4ms, ... <=2**(n-1) ms`` — the boundaries of the
-    serve layer's :class:`~repro.serve.metrics.LatencyHistogram`."""
+    serve layer's run-latency histogram."""
     return tuple(0.001 * (1 << i) for i in range(n))
 
 

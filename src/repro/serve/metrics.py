@@ -6,8 +6,9 @@ One lock-guarded accumulator fed by the scheduler and the run executor:
   rejected-by-quota / completed / failed / errored) plus the same split
   per tenant and per graph;
 * an exact in-flight gauge (queued + running);
-* a fixed-bucket log2 **latency histogram** over submit→finish wall
-  time, with streaming p50/p90/p99 estimates read from the buckets;
+* a log2-millisecond **latency histogram** over submit→finish wall
+  time (a registry :class:`~repro.observe.registry.Histogram`), with
+  p50/p90/p99 estimates read from its buckets;
 * the shared compiled-plan cache's hit/miss/eviction counters
   (:func:`repro.exec.plan_cache_stats`) and the derived hit rate —
   the cross-request artifact-sharing signal;
@@ -21,8 +22,9 @@ Every counter is *backed* by a per-service
 instruments with tenant/graph/event labels), so the same state renders
 two ways: the JSON snapshot above, and Prometheus text exposition via
 :meth:`ServiceMetrics.prometheus` (``GET /metrics?format=prometheus``).
-The latency histogram and the plan cache export through scrape-time
-collector callbacks — one source of truth, no double bookkeeping.
+The latency histogram is a registry instrument and the plan cache
+exports through a scrape-time collector callback — one source of
+truth, no double bookkeeping.
 Recent run ids surface as a bounded ``repro_serve_run_info`` gauge so a
 run submitted over HTTP is findable by its correlation id in the scrape.
 """
@@ -37,11 +39,10 @@ from ..observe.registry import (
     MetricFamily,
     MetricsRegistry,
     Sample,
-    _bound_label,
     log2_ms_buckets,
 )
 
-__all__ = ["LatencyHistogram", "ServiceMetrics"]
+__all__ = ["ServiceMetrics"]
 
 #: Distinct run ids retained in the ``repro_serve_run_info`` gauge —
 #: enough for dashboards to correlate recent runs without letting the
@@ -49,67 +50,9 @@ __all__ = ["LatencyHistogram", "ServiceMetrics"]
 RUN_INFO_LIMIT = 64
 
 
-class LatencyHistogram:
-    """Log2-bucketed latency histogram (seconds), 1 ms .. ~17 min.
-
-    Bucket *i* holds latencies in ``[2**i, 2**(i+1)) ms``; an underflow
-    bucket catches sub-millisecond runs.  Percentiles interpolate within
-    the winning bucket — coarse but monotone, O(1) memory, no samples
-    retained.
-    """
-
-    N_BUCKETS = 21          # 1ms * 2**20 ≈ 17.5 min
-
-    def __init__(self):
-        self.counts: List[int] = [0] * (self.N_BUCKETS + 1)
-        self.total = 0
-        self.sum_s = 0.0
-        self.max_s = 0.0
-
-    def record(self, seconds: float) -> None:
-        ms = seconds * 1e3
-        idx = 0
-        if ms >= 1.0:
-            b = int(ms).bit_length()        # [2**(b-1), 2**b) ms
-            idx = min(b, self.N_BUCKETS)
-        self.counts[idx] += 1
-        self.total += 1
-        self.sum_s += seconds
-        if seconds > self.max_s:
-            self.max_s = seconds
-
-    def percentile(self, p: float) -> float:
-        """Approximate p-quantile in seconds (p in [0, 100])."""
-        if self.total == 0:
-            return 0.0
-        target = max(1, int(round(self.total * p / 100.0)))
-        seen = 0
-        for idx, n in enumerate(self.counts):
-            if n == 0:
-                continue
-            if seen + n >= target:
-                if idx == 0:
-                    lo_ms, hi_ms = 0.0, 1.0
-                else:
-                    lo_ms, hi_ms = float(2 ** (idx - 1)), float(2 ** idx)
-                frac = (target - seen) / n
-                return (lo_ms + (hi_ms - lo_ms) * frac) / 1e3
-            seen += n
-        return self.max_s
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "total": self.total,
-            "mean_s": self.sum_s / self.total if self.total else 0.0,
-            "max_s": self.max_s,
-            "p50_s": self.percentile(50),
-            "p90_s": self.percentile(90),
-            "p99_s": self.percentile(99),
-            "buckets_ms": {
-                ("<1" if i == 0 else f"<{2 ** i}"): n
-                for i, n in enumerate(self.counts) if n
-            },
-        }
+#: Upper bounds of the run-latency histogram: log2 milliseconds,
+#: 1 ms .. 2**20 ms (about 17.5 min), then the registry's ``+Inf``.
+LATENCY_BUCKETS = log2_ms_buckets(21)
 
 
 _COUNTER_KEYS = ("submitted", "admitted", "rejected_queue",
@@ -129,7 +72,7 @@ class ServiceMetrics:
         self._per_tenant: Dict[str, Dict[str, int]] = {}
         self._per_graph: Dict[str, Dict[str, int]] = {}
         self._in_flight = 0
-        self.latency = LatencyHistogram()
+        self._latency_max = 0.0
         self._trace_metrics: List[Any] = []
         self._traced_runs = 0
         self._run_info: "OrderedDict[str, Tuple[str, str, str]]" = \
@@ -152,7 +95,10 @@ class ServiceMetrics:
         in_flight = self.registry.gauge(
             "repro_serve_in_flight", "Admitted-but-unfinished runs.")
         in_flight.set_function(lambda: self._in_flight)
-        self.registry.register_collector(self._collect_latency)
+        self.latency = self.registry.histogram(
+            "repro_serve_run_latency_seconds",
+            "Submit-to-finish run latency (log2 millisecond buckets).",
+            buckets=LATENCY_BUCKETS)
         self.registry.register_collector(_collect_plan_cache)
         self.registry.register_collector(self._collect_run_info)
 
@@ -205,7 +151,8 @@ class ServiceMetrics:
             self._in_flight = max(0, self._in_flight - 1)
             self._bump(self._per_tenant, tenant, counter)
             self._bump(self._per_graph, graph, counter)
-            self.latency.record(latency_s)
+            self.latency.observe(latency_s)
+            self._latency_max = max(self._latency_max, latency_s)
             if run_id:
                 self._run_info_locked(run_id, tenant, graph, state)
             if trace_metrics is not None:
@@ -228,29 +175,6 @@ class ServiceMetrics:
 
     # -- Prometheus exposition ---------------------------------------------
 
-    def _collect_latency(self) -> List[MetricFamily]:
-        """Render :attr:`latency` as a Prometheus histogram.  Bucket *i*
-        of :class:`LatencyHistogram` holds ``[2**(i-1), 2**i) ms``, so
-        its cumulative upper bounds are exactly
-        :func:`~repro.observe.registry.log2_ms_buckets`."""
-        bounds = log2_ms_buckets(LatencyHistogram.N_BUCKETS)
-        with self._lock:
-            counts = list(self.latency.counts)
-            total = self.latency.total
-            sum_s = self.latency.sum_s
-        fam = MetricFamily(
-            "repro_serve_run_latency_seconds", "histogram",
-            "Submit-to-finish run latency (log2 millisecond buckets).")
-        cum = 0
-        for bound, n in zip(bounds, counts):
-            cum += n
-            fam.samples.append(
-                Sample("_bucket", {"le": _bound_label(bound)}, cum))
-        fam.samples.append(Sample("_bucket", {"le": "+Inf"}, total))
-        fam.samples.append(Sample("_sum", {}, sum_s))
-        fam.samples.append(Sample("_count", {}, total))
-        return [fam]
-
     def _collect_run_info(self) -> List[MetricFamily]:
         with self._lock:
             rows = list(self._run_info.items())
@@ -270,6 +194,48 @@ class ServiceMetrics:
         from ..observe.prom import render_prometheus
 
         return render_prometheus(self.registry)
+
+    # -- latency -----------------------------------------------------------
+
+    def _latency_counts(self) -> Tuple[List[int], float]:
+        """Per-bucket (non-cumulative) latency counts and their sum."""
+        items = self.latency.items()
+        if not items:
+            return [0] * (len(LATENCY_BUCKETS) + 1), 0.0
+        state = items[0][1]
+        return list(state.counts), state.sum
+
+    def latency_percentile(self, p: float) -> float:
+        """Approximate p-quantile of the run latency in seconds (p in
+        [0, 100]), interpolated within the bucket holding it; the
+        ``+Inf`` bucket ends at the largest latency seen."""
+        counts, _sum = self._latency_counts()
+        total = sum(counts)
+        if total == 0:
+            return 0.0
+        target = max(1, int(round(total * p / 100.0)))
+        edges = (0.0,) + LATENCY_BUCKETS + (self._latency_max,)
+        seen = 0
+        for i, n in enumerate(counts):
+            if seen + n >= target:
+                lo, hi = edges[i], edges[i + 1]
+                return lo + (hi - lo) * (target - seen) / n
+            seen += n
+        return self._latency_max
+
+    def _latency_doc(self) -> Dict[str, Any]:
+        counts, sum_s = self._latency_counts()
+        total = sum(counts)
+        labels = [f"<={round(b * 1e3)}" for b in LATENCY_BUCKETS] + ["+Inf"]
+        return {
+            "total": total,
+            "mean_s": sum_s / total if total else 0.0,
+            "max_s": self._latency_max,
+            "p50_s": self.latency_percentile(50),
+            "p90_s": self.latency_percentile(90),
+            "p99_s": self.latency_percentile(99),
+            "buckets_ms": {lb: n for lb, n in zip(labels, counts) if n},
+        }
 
     # -- snapshot ----------------------------------------------------------
 
@@ -307,7 +273,7 @@ class ServiceMetrics:
                 "in_flight": self._in_flight,
                 "queue_depth": queue_depth,
                 "workers": workers,
-                "latency": self.latency.to_dict(),
+                "latency": self._latency_doc(),
                 "plan_cache": {
                     **cache,
                     "hit_rate": cache["hits"] / lookups if lookups else 0.0,

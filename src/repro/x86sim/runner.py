@@ -30,6 +30,7 @@ from ..core.sources_sinks import (
     RuntimeParam,
     check_io,
     iter_stream_values,
+    preset_rtp,
     sink_store,
 )
 from ..core.transport import traced
@@ -328,18 +329,20 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
     # Channels: one per net; producer count = kernel writers + sources.
     queues: Dict[int, Any] = {}
     consumer_alloc: Dict[int, int] = {}
-    input_nets = {gio.net_id for gio in g.inputs}
+    inputs = {gio.net_id: c for gio, c in zip(g.inputs, io)}
     for net in g.nets:
         n_consumers = len(net.consumers) + sum(
             1 for gio in g.outputs if gio.net_id == net.net_id
         )
         n_producers = len(net.producers) + (
-            1 if net.net_id in input_nets else 0
+            1 if net.net_id in inputs else 0
         )
         if net.settings.runtime_parameter:
             q: Any = ThreadedLatchQueue(
                 n_consumers=max(n_consumers, 1), name=net.name
             )
+            if net.net_id in inputs:
+                preset_rtp(q, net.dtype, inputs[net.net_id])
         else:
             q = ThreadedBroadcastQueue(
                 capacity=net.queue_depth(capacity), n_consumers=n_consumers,
@@ -380,11 +383,7 @@ def prepare_threads(graph: CompiledGraph | ComputeGraph, io: Tuple[Any, ...],
     for gio, container in zip(g.inputs, io[:len(g.inputs)]):
         net = g.net(gio.net_id)
         q = queues[gio.net_id]
-        if net.settings.runtime_parameter:
-            value = container.value if isinstance(container, RuntimeParam) \
-                else container
-            q.try_put(value)
-        else:
+        if not net.settings.runtime_parameter:
             values = iter_stream_values(net.dtype, container)
             q.producer_names.append(f"source[{gio.io_index}]")
             threads.append(_SourceThread(
@@ -497,33 +496,23 @@ def execute_plan(plan: X86Plan) -> RunResult:
     spec = plan.spec
     threads = plan.threads
     timeout = spec.timeout
-    tracer = spec.observe
     t0 = perf_counter()
     stragglers: List[threading.Thread] = []
-    try:
-        if tracer is not None:
-            tracer.run_begin(g.name, "x86sim")
-        for t in threads:
-            t.start()
-        # Bounded joins: a kernel that spins without consuming (or any
-        # other livelock) must surface as an error, not hang the host
-        # process.  Threads are daemonic, so stragglers die with the
-        # interpreter.
-        deadline = None if timeout is None else perf_counter() + timeout * (
-            len(threads) + 1
-        )
-        for t in threads:
-            remaining = None if deadline is None \
-                else max(0.0, deadline - perf_counter())
-            t.join(remaining)
-            if t.is_alive():
-                stragglers.append(t)
-        wall = perf_counter() - t0
-    finally:
-        # The run-end marker must survive abort paths so crashed runs
-        # still export a readable trace.
-        if tracer is not None:
-            tracer.run_end(g.name, "x86sim")
+    for t in threads:
+        t.start()
+    # Bounded joins: a kernel that spins without consuming (or any other
+    # livelock) must surface as an error, not hang the host process.
+    # Threads are daemonic, so stragglers die with the interpreter.
+    deadline = None if timeout is None else perf_counter() + timeout * (
+        len(threads) + 1
+    )
+    for t in threads:
+        remaining = None if deadline is None \
+            else max(0.0, deadline - perf_counter())
+        t.join(remaining)
+        if t.is_alive():
+            stragglers.append(t)
+    wall = perf_counter() - t0
 
     stalled = [t for t in threads
                if getattr(t, "stalled", False) or t in stragglers]
@@ -593,6 +582,6 @@ def run_threaded(graph: CompiledGraph | ComputeGraph, *io: Any,
     """Execute a compute graph with one OS thread per kernel: the
     x86sim backend's graph call, options bound as ``run_graph`` binds
     them (``timeout``, ``strict``, ``faults``, ``on_error``, ...)."""
-    from ..exec.backends import call_graph
+    from ..exec import run_graph
 
-    return call_graph(graph, io, options, "x86sim")
+    return run_graph(graph, *io, backend="x86sim", **options)

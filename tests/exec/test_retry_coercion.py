@@ -10,7 +10,7 @@ import pytest
 from repro.apps import datasets, iir
 from repro.errors import GraphRuntimeError
 from repro.exec import run_graph
-from repro.exec.api import _coerce_retry
+from repro.exec.spec import coerce_retry
 from repro.faults import RetryPolicy
 
 _SRC = datasets.iir_blocks(1)
@@ -18,11 +18,11 @@ _SRC = datasets.iir_blocks(1)
 
 class TestCoerceRetry:
     def test_none_disables(self):
-        assert _coerce_retry(None) is None
+        assert coerce_retry(None) is None
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_positive_int_becomes_policy(self, n):
-        policy = _coerce_retry(n)
+        policy = coerce_retry(n)
         if n == 1:
             assert policy is None       # one attempt == no retry
         else:
@@ -32,21 +32,21 @@ class TestCoerceRetry:
     @pytest.mark.parametrize("n", [0, -1, -100])
     def test_nonpositive_int_raises_value_error(self, n):
         with pytest.raises(ValueError, match=">= 1"):
-            _coerce_retry(n)
+            coerce_retry(n)
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_rejected_distinctly(self, flag):
         # bool is an int subclass; it must NOT silently coerce.
         with pytest.raises(GraphRuntimeError, match="bool"):
-            _coerce_retry(flag)
+            coerce_retry(flag)
 
     def test_policy_passes_through(self):
         policy = RetryPolicy(attempts=3, backoff=0.5, resume=True)
-        got = _coerce_retry(policy)
+        got = coerce_retry(policy)
         assert got is policy
 
     def test_single_attempt_policy_normalizes_to_none(self):
-        assert _coerce_retry(RetryPolicy(attempts=1)) is None
+        assert coerce_retry(RetryPolicy(attempts=1)) is None
 
     def test_policy_rejects_nonpositive_attempts(self):
         with pytest.raises(ValueError):

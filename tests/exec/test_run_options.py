@@ -137,8 +137,8 @@ def test_bogus_optimize_level_raises_everywhere(fig4_graph, backend):
 def test_prepare_refuses_run_level_options(fig4_graph):
     with pytest.raises(GraphRuntimeError, match="retry"):
         get_backend("cgsim").prepare(fig4_graph, (DATA, []), retry=2)
-    with pytest.raises(GraphRuntimeError, match="retry"):
-        fig4_graph(DATA, [], retry=2)
+    # The graph call operator is run_graph: it applies run-level options.
+    assert fig4_graph(DATA, [], retry=2).completed
 
 
 def test_serialized_call_matches_compiled_call():

@@ -137,7 +137,7 @@ class TestHistogram:
 
 class TestLog2Buckets:
     def test_matches_latency_histogram_ladder(self):
-        # bucket i of LatencyHistogram holds latencies < 2**i ms
+        # bucket i of the serve run-latency histogram: <= 2**i ms
         assert log2_ms_buckets(4) == (0.001, 0.002, 0.004, 0.008)
 
 

@@ -149,3 +149,20 @@ def test_x86sim_totals_match_cgsim_and_fills_stay_in_range():
             count[ev.kind, ev.queue] += ev.n
         totals[backend] = count
     assert totals["x86sim"] == totals["cgsim"]
+
+
+def test_rtp_input_is_configuration_on_every_engine():
+    """A graph's pre-run RTP value is written before tracing starts on
+    every engine: farrow's ``mu`` latch traces the same per-queue event
+    counts (its readers' gets, no put) on cgsim, x86sim and cgsim-mp."""
+    blocks, mu = datasets.farrow_blocks(2)
+    counts = {}
+    for backend in ("cgsim", "x86sim", "cgsim-mp"):
+        tracer = Tracer(RingSink(maxlen=None), metrics=False)
+        run_graph(farrow.FARROW_GRAPH, blocks, mu, [], backend=backend,
+                  observe=tracer)
+        counts[backend] = Counter(
+            ev.kind for ev in tracer.events
+            if ev.kind in (QUEUE_PUT, QUEUE_GET) and ev.queue == "mu")
+    assert counts["cgsim"] == {QUEUE_GET: 2}
+    assert counts["x86sim"] == counts["cgsim"] == counts["cgsim-mp"]

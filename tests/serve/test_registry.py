@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.serve import RunRegistry, TERMINAL_STATES
-from repro.serve.metrics import LatencyHistogram, ServiceMetrics
+from repro.serve.metrics import LATENCY_BUCKETS, ServiceMetrics
 
 
 class _FakeClock:
@@ -83,24 +83,47 @@ class TestRunRegistry:
         assert TERMINAL_STATES == {"ok", "failed", "stalled", "error"}
 
 
+def _latencies(*seconds):
+    """A ServiceMetrics whose latency histogram saw *seconds*."""
+    m = ServiceMetrics()
+    for s in seconds:
+        m.run_finished("a", "g", "ok", s)
+    return m
+
+
+def _counts(m):
+    ((_labels, state),) = m.latency.items()
+    return state.counts
+
+
 class TestLatencyHistogram:
     def test_percentiles_monotone(self):
-        h = LatencyHistogram()
-        for ms in (1, 2, 4, 8, 50, 120, 3000):
-            h.record(ms / 1e3)
-        d = h.to_dict()
+        m = _latencies(*(ms / 1e3 for ms in (1, 2, 4, 8, 50, 120, 3000)))
+        d = m.snapshot()["latency"]
         assert d["total"] == 7
         assert 0.0 < d["p50_s"] <= d["p90_s"] <= d["p99_s"]
         assert d["max_s"] == pytest.approx(3.0)
 
     def test_sub_millisecond_bucket(self):
-        h = LatencyHistogram()
-        h.record(0.0002)
-        assert h.counts[0] == 1
-        assert h.percentile(50) <= 0.001
+        m = _latencies(0.0002)
+        assert _counts(m)[0] == 1
+        assert m.latency_percentile(50) <= 0.001
 
     def test_empty(self):
-        assert LatencyHistogram().percentile(99) == 0.0
+        assert ServiceMetrics().latency_percentile(99) == 0.0
+
+    def test_power_of_two_counts_under_its_own_bound(self):
+        # The registry's ``le`` rule: exactly 2 ms is in the <= 2 ms
+        # bucket, and the JSON labels say so.
+        m = _latencies(0.002)
+        assert _counts(m)[1] == 1
+        assert m.snapshot()["latency"]["buckets_ms"] == {"<=2": 1}
+
+    def test_prometheus_family_is_the_histogram(self):
+        m = _latencies(0.003)
+        text = m.prometheus()
+        assert 'repro_serve_run_latency_seconds_bucket{le="0.004"} 1' in text
+        assert "repro_serve_run_latency_seconds_count 1" in text
 
 
 class TestServiceMetrics:
@@ -136,39 +159,30 @@ class TestLatencyHistogramEdges:
     """Percentile edge cases: empty, single bucket, p0/p100."""
 
     def test_empty_all_percentiles_zero(self):
-        h = LatencyHistogram()
+        m = ServiceMetrics()
         for p in (0, 50, 100):
-            assert h.percentile(p) == 0.0
+            assert m.latency_percentile(p) == 0.0
 
     def test_single_bucket_interpolates_within_bounds(self):
-        h = LatencyHistogram()
-        for _ in range(4):
-            h.record(0.003)  # 2-4 ms bucket
+        m = _latencies(*[0.003] * 4)  # 2-4 ms bucket
         for p in (0, 25, 50, 100):
-            assert 0.002 <= h.percentile(p) <= 0.004
+            assert 0.002 <= m.latency_percentile(p) <= 0.004
 
     def test_p0_clamps_to_first_occupied_bucket(self):
-        h = LatencyHistogram()
-        h.record(0.010)  # 8-16 ms bucket
-        h.record(0.100)
+        m = _latencies(0.010, 0.100)  # 8-16 ms, 64-128 ms
         # target clamps to the 1st sample, never below
-        assert 0.008 <= h.percentile(0) <= 0.016
+        assert 0.008 <= m.latency_percentile(0) <= 0.016
 
     def test_p100_reaches_last_occupied_bucket(self):
-        h = LatencyHistogram()
-        h.record(0.0015)   # 1-2 ms
-        h.record(0.5)      # 256-512 ms
-        assert 0.256 <= h.percentile(100) <= 0.512
+        m = _latencies(0.0015, 0.5)  # 1-2 ms, 256-512 ms
+        assert 0.256 <= m.latency_percentile(100) <= 0.512
 
     def test_percentiles_monotone_in_p(self):
-        h = LatencyHistogram()
-        for ms in (1, 3, 9, 27, 81, 243):
-            h.record(ms / 1e3)
-        values = [h.percentile(p) for p in (0, 10, 50, 90, 99, 100)]
+        m = _latencies(*(ms / 1e3 for ms in (1, 3, 9, 27, 81, 243)))
+        values = [m.latency_percentile(p) for p in (0, 10, 50, 90, 99, 100)]
         assert values == sorted(values)
 
     def test_overflow_bucket_catches_huge_latency(self):
-        h = LatencyHistogram()
-        h.record(10_000.0)  # way past the 2**20 ms ladder
-        assert h.counts[LatencyHistogram.N_BUCKETS] == 1
-        assert h.percentile(100) > 0.0
+        m = _latencies(10_000.0)  # way past the 2**20 ms ladder
+        assert _counts(m)[len(LATENCY_BUCKETS)] == 1
+        assert 0.0 < m.latency_percentile(100) <= 10_000.0
