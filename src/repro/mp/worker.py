@@ -27,13 +27,18 @@ ordered by worker id, so end-of-stream cascades upward from worker 0.
 A worker that stops making progress while nothing external can unblock
 it reports a structured stall diagnosis (the same
 ``describe_blockage`` text as single-process runs, plus ring fill
-levels); a worker whose kernel raises reports a failure message.  All
-results — sink payloads, RTP latch values, scheduler statistics, and
-observe events — travel back to the manager in one pickled message over
-a pipe.  Each sink payload is packed by
-:func:`~repro.mp.codec.pack_values`: a sink of numpy numeric scalars
-(the common case: every float32/int32 stream) crosses as one typed
-ndarray instead of one pickled object per element.
+levels); a worker whose kernel raises reports a failure message.
+
+Results travel back on two channels.  Every sink run that
+:func:`~repro.mp.codec.pack_layout` can pack — numpy numeric scalars
+(every float32/int32 stream) and window blocks of one dtype and shape
+(every IIR or Farrow window stream) — is written with ``pwritev`` into
+the worker's hand-back file: an anonymous in-memory file the manager
+created before the fork (``WorkerSpec.sink_fd``), so it has no name to
+leak on any exit path.  The blocks go in as they are, never stacked
+first.  Everything else — the ``(offset, dtype, shape)`` of each packed
+sink, pass-through sink runs, RTP latch values, scheduler statistics
+and observe events — travels in one small pickled message over a pipe.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from ..core.scheduler import CooperativeScheduler, TaskState
 from ..core.sources_sinks import make_sink, make_source, preset_rtp
 from ..core.transport import traced
 from ..errors import GraphRuntimeError
-from .codec import pack_values
+from .codec import write_packed
 
 if TYPE_CHECKING:
     from ..exec.spec import RunSpec
@@ -66,13 +71,15 @@ _POLL_SLEEP = 0.0005
 @dataclass
 class WorkerSpec:
     """Everything one worker needs, captured before fork (the child
-    inherits graph objects, input containers, and ring mappings)."""
+    inherits graph objects, input containers, ring mappings and its
+    hand-back file descriptor)."""
 
     wid: int
     placement: Any                                  # mp.placement.Placement
     io: Tuple[Any, ...]                             # caller's sources + sinks
     rings: Dict[Tuple[int, int, int], Any]
     run: "RunSpec"                                  # the bound run options
+    sink_fd: int                                    # the hand-back file
 
 
 class _Import:
@@ -458,8 +465,8 @@ class ShardRuntime:
         wall = perf_counter() - t0
         items_in = sum(self.queues[nid].total_puts
                        for nid in self._input_net_ids)
-        sinks_payload = {i: pack_values(store)
-                         for i, _coro, store in self._sinks}
+        stores = {i: store for i, _coro, store in self._sinks}
+        packed, sinks_payload = write_packed(spec.sink_fd, stores)
         # Stamp worker id + emission sequence (schema v2) so the manager
         # can merge the per-worker streams into one deterministic total
         # order even when coarse clocks collide across processes.
@@ -478,8 +485,9 @@ class ShardRuntime:
             "wall_time": wall,
             "context_switches": total_switches,
             "items_in": items_in,
-            "items_out": sum(len(s) for s in sinks_payload.values()),
+            "items_out": sum(len(s) for s in stores.values()),
             "sinks": sinks_payload,
+            "packed": packed,
             "rtp": {i: latch.last_value for i, latch in self._rtp_out},
             "task_states": dict(last_stats.task_states) if last_stats else {},
             "task_resumes": dict(last_stats.task_resumes) if last_stats

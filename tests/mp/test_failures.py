@@ -10,6 +10,8 @@ import os
 
 import pytest
 
+from repro.apps import datasets
+from repro.apps.farrow import FARROW_GRAPH
 from repro.core import (
     AIE,
     In,
@@ -123,3 +125,18 @@ class TestRemoteKernelError:
         # mp_head_0 shared the failed process but was healthy.
         assert report.collateral == ("mp_head_0",)
         assert report.failing_task == "mp_raise_0"
+
+
+class TestWorkerSetupError:
+    def test_failure_before_running_is_contained(self):
+        # The out-of-range RTP input is rejected while the worker builds
+        # its shard, before any sink or latch exists to report.
+        blocks, _mu = datasets.farrow_blocks(2)
+        with pytest.raises(RemoteKernelError, match="OverflowError"):
+            run_graph(FARROW_GRAPH, blocks, 10**12, [], backend="cgsim-mp",
+                      workers=2, validate=True)
+        result = run_graph(FARROW_GRAPH, blocks, 10**12, [],
+                           backend="cgsim-mp", workers=2, validate=True,
+                           on_error="isolate")
+        assert not result.completed
+        assert "OverflowError" in str(result.failure.failures[0].error)
