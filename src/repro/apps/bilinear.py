@@ -85,27 +85,30 @@ async def bilinear_fused(pix: In[float32], frac: In[float32],
     vector kernel, see :func:`~repro.apps.golden.golden_bilinear`); the
     per-lane push/reverse shuffling nets out to plain sample order, so
     only whole groups are processed and leftovers stay buffered exactly
-    like a partially filled vector register.
+    like a partially filled vector register.  Runs stay numpy arrays
+    from the reads to the write.
     """
-    pix_carry: list = []
-    frac_carry: list = []
+    pix_carry = np.empty(0, dtype=np.float32)
+    frac_carry = np.empty(0, dtype=np.float32)
     while True:
-        pix_carry.extend(
-            await pix.get_batch(_FUSED_IO_GROUPS * LANES * 4, exact=False)
+        p = np.asarray(
+            await pix.get_batch(_FUSED_IO_GROUPS * LANES * 4, exact=False),
+            dtype=np.float32,
         )
-        frac_carry.extend(
-            await frac.get_batch(_FUSED_IO_GROUPS * LANES * 2, exact=False)
+        f = np.asarray(
+            await frac.get_batch(_FUSED_IO_GROUPS * LANES * 2, exact=False),
+            dtype=np.float32,
         )
-        n_groups = min(len(pix_carry) // (LANES * 4),
-                       len(frac_carry) // (LANES * 2))
+        if len(pix_carry):
+            p = np.concatenate((pix_carry, p))
+        if len(frac_carry):
+            f = np.concatenate((frac_carry, f))
+        n_groups = min(len(p) // (LANES * 4), len(f) // (LANES * 2))
+        n = n_groups * LANES
+        pix_carry, frac_carry = p[n * 4:], f[n * 2:]
         if not n_groups:
             continue
-        n = n_groups * LANES
-        p = np.asarray(pix_carry[:n * 4], dtype=np.float32).reshape(n, 4)
-        f = np.asarray(frac_carry[:n * 2], dtype=np.float32).reshape(n, 2)
-        del pix_carry[:n * 4]
-        del frac_carry[:n * 2]
-        await out.put_batch(list(golden_bilinear(p, f)))
+        await out.put_batch(golden_bilinear(p[:n * 4], f[:n * 2]))
 
 
 @extract_compute_graph

@@ -99,23 +99,25 @@ async def bitonic16_fused(inp: In[float32], out: Out[float32]):
     compare-exchange network.  For finite float32 values an ascending
     sort is value-identical to the bitonic network (the network is a
     sorting network); a trailing partial block stays buffered exactly
-    like the per-element kernel's partially assembled vector.
+    like the per-element kernel's partially assembled vector.  Runs
+    stay numpy arrays from the read to the write.
     """
-    carry: list = []
+    carry = np.empty(0, dtype=np.float32)
     while True:
-        carry.extend(
+        run = np.asarray(
             await inp.get_batch(_FUSED_IO_BLOCKS * BITONIC_BLOCK,
-                                exact=False)
+                                exact=False),
+            dtype=np.float32,
         )
-        n_blocks = len(carry) // BITONIC_BLOCK
+        if len(carry):
+            run = np.concatenate((carry, run))
+        n_blocks = len(run) // BITONIC_BLOCK
+        take = n_blocks * BITONIC_BLOCK
+        carry = run[take:]
         if not n_blocks:
             continue
-        take = n_blocks * BITONIC_BLOCK
-        blk = np.asarray(carry[:take], dtype=np.float32).reshape(
-            n_blocks, BITONIC_BLOCK
-        )
-        del carry[:take]
-        await out.put_batch(list(np.sort(blk, axis=1).reshape(-1)))
+        blk = run[:take].reshape(n_blocks, BITONIC_BLOCK)
+        await out.put_batch(np.sort(blk, axis=1).reshape(-1))
 
 
 def run_cgsim(blocks: np.ndarray, **run_options) -> np.ndarray:

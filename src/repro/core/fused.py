@@ -38,7 +38,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, \
+    Sequence, Tuple
 
 from ..errors import GraphRuntimeError, IoBindingError
 from .dtypes import StreamType
@@ -246,11 +247,14 @@ class SourceFeed:
     terminal blocked-read state, exactly as an unfused kernel ends up
     parked on a drained queue.
 
-    Every container kind is served by slices: the feed keeps one buffer
-    refilled from :func:`~repro.core.sources_sinks.stream_chunks` with
-    what a read lacks, at least one chunk at a time, so a list, tuple or
-    numpy array hands a large read one ``list(data[a:b])`` run and a
-    generator is pulled less than one chunk ahead of what was served.
+    Every container kind is served the same way: from its current run
+    of :func:`~repro.core.sources_sinks.stream_chunks` (a read-only
+    array view, or a list), refilled with at least one chunk when a
+    read needs more than the run has left.  A read that one run fills
+    gets a slice of it — a view of an array container, so a large read
+    of numeric data boxes nothing — and only a read that spans two runs
+    joins them, into a list.  A generator is pulled less than one chunk
+    ahead of what was served.
 
     ``total_puts``/``total_gets`` advance per element served so the
     runtime's ``items_in`` accounting is unchanged.
@@ -273,9 +277,9 @@ class SourceFeed:
         self.name = name
         self.n_consumers = 1
         self.capacity = 0
-        self._chunks: Optional[Iterator[List[Any]]] = None
+        self._chunks: Optional[Iterator[Any]] = None
         self._chunk = DEFAULT_QUEUE_CAPACITY
-        self._buf: Optional[List[Any]] = None   # None until bound
+        self._buf: Any = None   # the current run; None until bound
         self._pos = 0
         self.read_waiters: List[List] = [[]]
         self.write_waiters: List = []
@@ -302,18 +306,25 @@ class SourceFeed:
     # -- introspection -------------------------------------------------------
 
     def _fill(self, want: int) -> int:
-        """Buffer at least *want* unserved elements while the input
-        lasts; returns how many are buffered."""
+        """Make at least *want* unserved elements current while the
+        input lasts; returns how many are current."""
         have = len(self._buf) - self._pos
         if have >= want or self._chunks is None:
             return have
-        buf = self._buf = self._buf[self._pos:]
+        buf = self._buf[self._pos:]
         self._pos = 0
         try:
             while len(buf) < want:
-                buf += self._chunks.send(max(want - len(buf), self._chunk))
+                run = self._chunks.send(max(want - len(buf), self._chunk))
+                if len(buf):
+                    joined = list(buf)   # a read spans two runs
+                    joined.extend(run)
+                    run = joined
+                buf = run
         except StopIteration:
             self._chunks = None
+        finally:
+            self._buf = buf
         return len(buf)
 
     @property
@@ -348,7 +359,7 @@ class SourceFeed:
         self.total_gets += 1
         return True, value
 
-    def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
+    def try_get_many(self, consumer_idx: int, max_n: int) -> Sequence[Any]:
         if max_n <= 0 or self._buf is None:
             return []
         n = min(self._fill(max_n), max_n)
@@ -381,7 +392,9 @@ class SinkStore:
     runtime replaces the net's queue (and its sink coroutine) with a
     store: the chain member's writes land directly in the user container
     (list append or :class:`ArraySinkCursor` fill).  A store is never
-    full, so the producing member never parks on it.
+    full, so the producing member never parks on it.  A run may be a
+    numpy array: a list sink ``extend``s with its elements, an array
+    sink copies it in through ``store_many``.
     """
 
     __slots__ = (

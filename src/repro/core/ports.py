@@ -33,6 +33,8 @@ import types
 from dataclasses import dataclass, replace
 from typing import Any, Optional, Tuple
 
+import numpy as np
+
 from ..errors import PoisonSignal, PortSettingsError, StreamTypeError
 from .dtypes import StreamType
 
@@ -226,15 +228,15 @@ def _get_batch(port: "KernelReadPort", n: int, exact: bool):
     out: list = []
     while True:
         got = queue.try_get_many(idx, n - len(out))
-        if got:
+        if len(got):
+            if not out and (len(got) == n or not exact):
+                port._items += len(got)
+                return got   # the run exactly as the transport handed it
             out.extend(got)
-            if len(out) == n or not exact:
-                port._items += len(out)
+            if len(out) == n:
+                port._items += n
                 return out
             continue
-        if out and not exact:
-            port._items += len(out)
-            return out
         if queue.poisoned:
             raise PoisonSignal(queue.name, queue.poison_origin)
         yield ("rd", queue, idx, len(out))
@@ -280,12 +282,19 @@ class KernelReadPort:
             yield ("rd", queue, idx)
 
     def get_batch(self, n: int, *, exact: bool = True):
-        """Resolve to a list of stream elements.
+        """Resolve to a read-only sequence of stream elements.
 
         ``exact=True`` (default) waits for exactly *n* elements — the
         form for kernels with a fixed block structure.  ``exact=False``
         resolves as soon as at least one element is available, returning
         up to *n* — the form for consumers that must drain stream tails.
+
+        The run is a fresh list, or a read-only numpy view when one
+        transfer from an array-backed source (a fused chain's
+        :class:`~repro.core.fused.SourceFeed`) fills the request: scalar
+        elements for a scalar stream, ``(k, window)`` rows for a window
+        stream.  Take it with ``np.asarray`` (or iterate it); do not
+        write into it.
 
         Elements move through the queue's bulk ring operation, a
         contiguous run per call.  Partial progress is carried across
@@ -347,10 +356,16 @@ class KernelWritePort:
         downstream: bulk ring writes; when the ring fills mid-batch the
         park command ``("wr", queue, -1, delivered)`` carries the count
         already written and the remainder resumes from that offset — one
-        suspension per queue-full transition."""
+        suspension per queue-full transition.
+
+        *values* is any sequence, a numpy array included.  Transports
+        take its elements at put time exactly as from ``list(values)``:
+        a scalar run's values are copied out, so the caller may reuse
+        the array once the put completes; a window array's elements are
+        its rows, views of the array as in its list form."""
         if self._validate:
             values = [self.dtype.validate(v) for v in values]
-        elif not isinstance(values, (list, tuple)):
+        elif not isinstance(values, (list, tuple, np.ndarray)):
             values = list(values)
         queue = self._queue
         total = len(values)

@@ -103,7 +103,7 @@ def _queue_get_up_to(queue: BroadcastQueue, consumer_idx: int, max_n: int):
     unknown length)."""
     while True:
         out = queue.try_get_many(consumer_idx, max_n)
-        if out:
+        if len(out):
             return out
         if queue.poisoned:
             raise PoisonSignal(queue.name, queue.poison_origin)
@@ -115,12 +115,12 @@ def _queue_get_up_to(queue: BroadcastQueue, consumer_idx: int, max_n: int):
 # ---------------------------------------------------------------------------
 
 
-def _slices(data: Any, n: int) -> Iterator[List[Any]]:
-    """``list(data[i:i + k])`` runs of a list, tuple or numpy array."""
+def _slices(data: Any, n: int) -> Iterator[Any]:
+    """``data[i:i + k]`` runs of a list or numpy array."""
     k = yield
     i = 0
     while i < len(data):
-        chunk = list(data[i:i + (k or n)])
+        chunk = data[i:i + (k or n)]
         i += len(chunk)
         k = yield chunk
 
@@ -147,29 +147,33 @@ def _pull(values: Iterator[Any], n: int) -> Iterator[List[Any]]:
         k = yield chunk
 
 
-def _started(chunks: Iterator[List[Any]]) -> Iterator[List[Any]]:
+def _started(chunks: Iterator[Any]) -> Iterator[Any]:
     next(chunks)   # run to the first size request; nothing is pulled
     return chunks
 
 
 def stream_chunks(dtype: StreamType, data: Any, validate: bool = False,
-                  n: int = DEFAULT_QUEUE_CAPACITY) -> Iterator[List[Any]]:
-    """Adapt a user container to lists of *dtype* elements, *n* at a time.
+                  n: int = DEFAULT_QUEUE_CAPACITY) -> Iterator[Any]:
+    """Adapt a user container to runs of *dtype* elements, *n* at a time.
 
-    The one input adapter of every scheduler path.  A list, tuple or
-    numpy array is served by slices, ``list(data[i:i + n])`` — numpy
-    scalars or row views, the same objects iteration gives.  A window
-    stream also accepts one flat numpy array whose length is a multiple
-    of the window size (the convenient form for the AMD example test
-    vectors), served as block views.  Any other iterable is pulled
-    lazily.  ``validate`` type-checks every element.  A container that
-    cannot bind raises here, not on the first pull.
+    The one input adapter of every scheduler path.  A numpy array is
+    served as read-only views ``data[i:i + n]`` (runs of scalars, or
+    row blocks of a window array); a list or tuple as list slices.
+    Either way the elements are the objects iteration gives — numpy
+    scalars or row views.  A window stream also accepts one flat numpy
+    array whose length is a multiple of the window size (the
+    convenient form for the AMD example test vectors), served as block
+    views.  Any other iterable is pulled lazily into lists, and
+    ``validate`` type-checks every element into lists too.  A
+    container that cannot bind raises here, not on the first pull.
 
-    Iterating yields lists of *n*; a consumer that knows its demand
-    ``send``s the length of the next list instead (a fused chain's
-    :class:`~repro.core.fused.SourceFeed` serves each read with one
-    slice).  Either way a lazily pulled iterable is never read more
-    than one list ahead of what was taken.
+    Iterating yields runs of *n*; a consumer that knows its demand
+    ``send``s the length of the next run instead (a fused chain's
+    :class:`~repro.core.fused.SourceFeed` serves each read from one
+    run).  Either way a lazily pulled iterable is never read more than
+    one run ahead of what was taken.  A consumer that stores elements
+    one at a time (a ring's slot slice, ``extend``) boxes an array run
+    exactly as it boxes the list of its elements.
     """
     if isinstance(dtype, WindowType) and isinstance(data, np.ndarray):
         w = dtype.count
@@ -185,8 +189,13 @@ def stream_chunks(dtype: StreamType, data: Any, validate: bool = False,
                 f"array of shape {data.shape} does not match window "
                 f"stream of {w} elements"
             )
-    if isinstance(data, (list, tuple)) or (
-            isinstance(data, np.ndarray) and data.ndim > 0):
+    if isinstance(data, tuple):
+        data = list(data)
+    if isinstance(data, np.ndarray) and data.ndim > 0:
+        data = data.view()
+        data.flags.writeable = False   # a kernel cannot write the input
+        chunks = _started(_slices(data, n))
+    elif isinstance(data, list):
         chunks = _started(_slices(data, n))
     else:
         chunks = _started(_pull(iter(data), n))
@@ -203,7 +212,7 @@ def iter_stream_values(dtype: StreamType, data: Any,
     return chain.from_iterable(stream_chunks(dtype, data, validate))
 
 
-async def _source_coro(queue: BroadcastQueue, chunks: Iterator[List[Any]]):
+async def _source_coro(queue: BroadcastQueue, chunks: Iterator[Any]):
     for chunk in chunks:
         await _queue_put_many(queue, chunk)
 
@@ -255,14 +264,18 @@ class ArraySinkCursor:
         self.store_many((value,))
 
     def store_many(self, values: Sequence[Any]) -> None:
-        """Store a list or tuple of items in order.
+        """Store a run of items in order: a list, tuple or numpy array.
 
-        A scalar run converts with one ``np.asarray`` into one slice
-        write.  numpy refuses a run wherever element assignment would
-        refuse one of its elements; such a run (or a ragged one) is
-        stored element by element, so the same element raises the same
-        error after the same prefix.  An overflowing run stores what
-        fits, then raises.
+        An array run whose dtype casts safely to the sink's (scalar
+        items, or ``(n, window)`` blocks) is one slice write.  Any
+        other run stores as element assignment would: a scalar run
+        converts with one ``np.asarray`` over its elements into one
+        slice write, and numpy refuses that conversion exactly where
+        element assignment would refuse an element (int overflow, NaN
+        into an int, complex into a float); such a run (or a ragged
+        one) is stored element by element, so the same element raises
+        the same error after the same prefix.  An overflowing run
+        stores what fits, then raises.
         """
         room = self.capacity - self.count
         if len(values) > room:
@@ -272,6 +285,14 @@ class ArraySinkCursor:
             )
         flat = self._flat
         w = self.width
+        if isinstance(values, np.ndarray):
+            if values.shape[1:] == ((w,) if w > 1 else ()) \
+                    and np.can_cast(values.dtype, flat.dtype, "safe"):
+                lo = self.count * w
+                flat[lo:lo + values.size] = values.reshape(-1)
+                self._advance(len(values))
+                return
+            values = list(values)   # an unsafe cast goes element-wise
         if w == 1 and len(values) > 1:
             try:
                 run = np.asarray(values, dtype=flat.dtype)

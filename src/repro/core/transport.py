@@ -13,8 +13,12 @@ protocol:
 Core transfer (non-blocking, engine decides how to wait)
     ``try_put(value) -> bool``, ``try_get(consumer_idx) -> (bool, value)``
     and the bulk ring operations ``try_put_many(values, start) -> int`` /
-    ``try_get_many(consumer_idx, max_n) -> list`` behind
-    ``port.put_batch``/``port.get_batch``.
+    ``try_get_many(consumer_idx, max_n) -> run`` behind
+    ``port.put_batch``/``port.get_batch``.  ``values`` may be a list,
+    tuple or numpy array, taken element by element at put time; a run
+    read back is a list, or a read-only array view where a fused
+    chain's source feed serves an array — test it with ``len()``,
+    never for truth, and ``extend`` with it, never ``+=``.
 
 Capacity / fill introspection (``describe_blockage``, wait-for analysis)
     ``capacity``, ``n_consumers``, ``size_for(idx)``, ``free_slots``,
@@ -53,8 +57,8 @@ a non-default transport by name via ``transport=``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple, \
-    runtime_checkable
+from typing import Any, Callable, Dict, List, Optional, Protocol, \
+    Sequence, Tuple, runtime_checkable
 
 from ..errors import GraphRuntimeError
 
@@ -91,7 +95,7 @@ class Transport(Protocol):
     def try_put(self, value: Any) -> bool: ...
     def try_put_many(self, values, start: int = 0) -> int: ...
     def try_get(self, consumer_idx: int) -> Tuple[bool, Any]: ...
-    def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]: ...
+    def try_get_many(self, consumer_idx: int, max_n: int) -> Sequence[Any]: ...
 
     # -- capacity / fill introspection ------------------------------------
     def size_for(self, consumer_idx: int) -> int: ...
@@ -261,9 +265,9 @@ class _TracedQueue:
             self._on_get(self._inner, self._tracer, consumer_idx, 1)
         return ok, value
 
-    def try_get_many(self, consumer_idx: int, max_n: int) -> List[Any]:
+    def try_get_many(self, consumer_idx: int, max_n: int) -> Sequence[Any]:
         out = self._inner.try_get_many(consumer_idx, max_n)
-        if out:
+        if len(out):   # an array run has no truth value
             self._on_get(self._inner, self._tracer, consumer_idx, len(out))
         return out
 

@@ -46,8 +46,6 @@ import os
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from ..core.result import RunResult, kernel_fraction
 from ..core.sources_sinks import RuntimeParam, check_io, sink_store
 from ..errors import GraphRuntimeError
@@ -103,12 +101,16 @@ class ShardRun(NamedTuple):
     worker_walls: Dict[int, float]      # worker id -> its own wall time
 
 
-def _merge_outputs(graph, placement: Placement, io,
-                   results) -> Tuple[int, Dict[int, int]]:
+def _merge_outputs(graph, placement: Placement, io, results,
+                   on_error: str) -> Tuple[int, Dict[int, int]]:
     """Copy worker sink payloads / RTP values into the caller's
     containers (already vetted by ``check_io`` before the fork);
     returns total items delivered plus the per-sink delivered counts
-    ``{io_index: n}`` (the checkpoint layer's input)."""
+    ``{io_index: n}`` (the checkpoint layer's input).  A packed run
+    goes to ``store_many`` whole: a list sink extends with it, a sink
+    array takes it in one slice write or element by element, raising
+    where cgsim's sink store raises.  Under ``on_error="fail"`` a
+    store error is raised as cgsim raises it."""
     n_in = len(graph.inputs)
     items_out = 0
     counts: Dict[int, int] = {}
@@ -133,15 +135,18 @@ def _merge_outputs(graph, placement: Placement, io,
         home = placement.sink_home(gio.io_index)
         msg = results.get(home)
         payload = msg.get("sinks", {}).get(gio.io_index, []) if msg else []
-        if type(payload) is np.ndarray and not (
-                isinstance(container, list)
-                or payload.dtype == container.dtype):
-            # A packed run goes straight into a list sink or a sink array
-            # of its own dtype; a cast into another dtype goes element by
-            # element, raising where cgsim's element store raises.
-            payload = list(payload)
         _store, store_many, _cursor = sink_store(net.dtype, container)
-        store_many(payload)
+        try:
+            store_many(payload)
+        except Exception as exc:
+            if on_error != "fail":
+                raise
+            # cgsim's sink task raises this store's error through its
+            # scheduler: the same class and message here.
+            raise GraphRuntimeError(
+                f"task 'sink[{gio.io_index}]' raised "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         counts[gio.io_index] = len(payload)
         items_out += len(payload)
     return items_out, counts
@@ -440,7 +445,7 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
         # Merge whatever arrived even after a failure: surviving
         # workers' sinks hold a valid prefix (isolate semantics).
         items_out, sink_counts = _merge_outputs(graph, placement, io,
-                                                results)
+                                                results, spec.on_error)
         _merge_events(tracer, results)
         profile_report = _merge_profiles(results)
 

@@ -9,11 +9,18 @@ it registers — capability flags (``broadcast``, ``max_consumers``)
 scope the broadcast-specific cases.
 """
 
+import numpy as np
 import pytest
 
 from conftest import build_fig4_graph
-from repro.core import int32
+from repro.core import Window, float32, int32
 from repro.core.fused import FusedLink, SinkStore, SourceFeed
+from repro.core.ports import (
+    KernelReadPort,
+    KernelWritePort,
+    PortDirection,
+    PortSpec,
+)
 from repro.core.queues import LatchQueue
 from repro.core.transport import (
     Transport,
@@ -342,3 +349,143 @@ def test_dropped_element_is_never_traced(backend):
     gets = [ev for ev in result.trace.events
             if ev.kind == QUEUE_GET and ev.queue == "b"]
     assert sum(ev.n for ev in puts) == len(out) == sum(ev.n for ev in gets)
+
+
+# -- array runs: put_batch of an ndarray is its list form ---------------------
+#
+# A fused twin hands ``put_batch`` its result array, and a fused source
+# feed serves an array container as views.  Every carrier must treat an
+# array run exactly as the list of its elements: the same elements
+# (values, element types, bytes) delivered, the same transfer totals and
+# the same trace events.
+
+WIN4 = Window(float32, 4)
+SCALAR_RUN = np.arange(11, dtype=np.float32) * np.float32(0.25)
+WINDOW_RUN = np.arange(28, dtype=np.float32).reshape(7, 4)
+ARRAY_RUNS = {"scalar": (float32, SCALAR_RUN), "window": (WIN4, WINDOW_RUN)}
+
+
+def _faulty_ring():
+    # Drops every third element: the proxy decides element by element.
+    return FaultyStreamQueue(
+        make_queue("ring", capacity=4, n_consumers=1, name="faulty"),
+        _StubSession(), drops=(NetDrop("faulty", every=3),))
+
+
+#: carrier -> factory of a fresh, empty queue with one consumer
+PUT_CARRIERS = {
+    **{name: _registered(name) for name in TRANSPORTS},
+    "FusedLink": lambda: FusedLink(capacity=4, name="link"),
+    "fault proxy": _faulty_ring,
+}
+
+
+def _drive(gen, on_park=lambda: None):
+    """Run a port-op generator to completion, calling *on_park* at each
+    park; returns the op's result."""
+    while True:
+        try:
+            gen.send(None)
+        except StopIteration as stop:
+            return stop.value
+        on_park()
+
+
+def _tracer():
+    return Tracer(RingSink(maxlen=None), metrics=False)
+
+
+def _elements(seq):
+    return [(type(v), np.asarray(v).dtype, np.asarray(v).shape,
+             np.asarray(v).tobytes()) for v in seq]
+
+
+def _put_through(make, dtype, values, trace):
+    """put_batch *values* into a fresh carrier, draining it whenever the
+    put parks; returns what came out and what was recorded."""
+    inner = make()
+    tracer = _tracer()
+    q = traced(inner, tracer) if trace else inner
+    got = []
+    port = KernelWritePort(PortSpec("o", PortDirection.WRITE, dtype), q)
+    try:
+        _drive(port.put_batch(values),
+               lambda: got.extend(q.try_get_many(0, 64)))
+        got.extend(q.try_get_many(0, 64))
+        return (_elements(got), q.total_puts, q.total_gets,
+                _queue_events(tracer))
+    finally:
+        _cleanup(inner)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("run", sorted(ARRAY_RUNS))
+@pytest.mark.parametrize("carrier", sorted(PUT_CARRIERS))
+def test_array_put_batch_matches_list_form(carrier, run, trace):
+    dtype, values = ARRAY_RUNS[run]
+    make = PUT_CARRIERS[carrier]
+    as_array = _put_through(make, dtype, values, trace)
+    as_list = _put_through(make, dtype, list(values), trace)
+    assert as_array == as_list
+    assert as_array[0]   # something was delivered
+
+
+def test_shm_ring_takes_an_array_slice_as_one_record():
+    q = make_queue(get_transport("shm"), capacity=16, n_consumers=1,
+                   name="shm")
+    try:
+        assert q.try_put_many(SCALAR_RUN, 3) == len(SCALAR_RUN) - 3
+        with q._lock:
+            record = q._pop_record()
+            assert q._pop_record() is None   # one record
+        assert _elements(record) == _elements(SCALAR_RUN[3:])
+        # The consumer still gets a list of the run's elements.
+        q.try_put_many(SCALAR_RUN, 3)
+        got = q.try_get_many(0, 64)
+        assert type(got) is list
+        assert _elements(got) == _elements(list(SCALAR_RUN[3:]))
+    finally:
+        _cleanup(q)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("sink", ["list", "ndarray"])
+@pytest.mark.parametrize("run", sorted(ARRAY_RUNS))
+def test_sink_store_takes_array_runs(run, sink, trace):
+    dtype, values = ARRAY_RUNS[run]
+
+    def store(vals):
+        container = [] if sink == "list" else np.zeros_like(values)
+        inner = SinkStore(name="store")
+        inner.bind(dtype, container)
+        tracer = _tracer()
+        q = traced(inner, tracer) if trace else inner
+        port = KernelWritePort(PortSpec("o", PortDirection.WRITE, dtype), q)
+        _drive(port.put_batch(vals[:2]))
+        _drive(port.put_batch(vals[2:]))
+        got = _elements(container) if sink == "list" \
+            else container.tobytes()
+        return got, q.total_puts, q.total_gets, _queue_events(tracer)
+
+    assert store(values) == store(list(values))
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
+@pytest.mark.parametrize("reads", [1, 3, 5, 64])
+@pytest.mark.parametrize("run", sorted(ARRAY_RUNS))
+def test_source_feed_serves_arrays_as_their_list_form(run, reads, trace):
+    dtype, values = ARRAY_RUNS[run]
+
+    def serve(data):
+        inner = SourceFeed(name="feed")
+        inner.bind(dtype, data, chunk=4)
+        tracer = _tracer()
+        q = traced(inner, tracer) if trace else inner
+        port = KernelReadPort(PortSpec("a", PortDirection.READ, dtype), q, 0)
+        got = []
+        while not inner.done:
+            got.extend(_drive(port.get_batch(reads, exact=False)))
+        return _elements(got), q.total_puts, q.total_gets, \
+            _queue_events(tracer)
+
+    assert serve(values) == serve(list(values))

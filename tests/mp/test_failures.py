@@ -6,11 +6,14 @@ cone — the same containment contract :mod:`repro.faults` gives the
 in-process backends — while sinks outside the cone stay complete.
 """
 
+import gc
 import os
 
+import numpy as np
 import pytest
 
 from repro.apps import datasets
+from repro.apps.farm import BITONIC_FARM4, bitonic_farm_io
 from repro.apps.farrow import FARROW_GRAPH
 from repro.core import (
     AIE,
@@ -22,6 +25,7 @@ from repro.core import (
     int64,
     make_compute_graph,
 )
+from repro.errors import GraphRuntimeError, StreamTypeError
 from repro.exec import run_graph
 from repro.mp import WorkerCrashError
 from repro.mp.manager import RemoteKernelError
@@ -140,3 +144,34 @@ class TestWorkerSetupError:
                            on_error="isolate")
         assert not result.completed
         assert "OverflowError" in str(result.failure.failures[0].error)
+
+
+def _farm_overflow(backend):
+    """BITONIC_FARM4 with lane 2's sink array one block too small:
+    the error's class, message and cause class, and that sink."""
+    sinks = [[], [], np.zeros(16, np.float32), []]
+    options = {"workers": 2} if backend == "cgsim-mp" else {}
+    with pytest.raises(GraphRuntimeError) as info:
+        run_graph(BITONIC_FARM4, *bitonic_farm_io(2), *sinks,
+                  backend=backend, **options)
+    err = info.value
+    seen = type(err), str(err), type(err.__cause__)
+    # The traceback holds the run's frames, whose packed sink arrays map
+    # each worker's hand-back file; collect that cycle now so the files
+    # close here, not during a later test's file-descriptor check.
+    del err, info
+    gc.collect()
+    return seen, sinks[2]
+
+
+def test_sink_overflow_raises_as_on_cgsim():
+    """A too-small sink array fails the run with the same error class
+    and message on both engines, chained to the store's own error, after
+    the same prefix was stored."""
+    want, want_sink = _farm_overflow("cgsim")
+    got, got_sink = _farm_overflow("cgsim-mp")
+    assert want == (GraphRuntimeError, "task 'sink[2]' raised "
+                    "StreamTypeError: sink array overflow: capacity 16 "
+                    "items", StreamTypeError)
+    assert got == want
+    assert got_sink.tobytes() == want_sink.tobytes()
