@@ -128,9 +128,8 @@ def reconstruct_failure(events: Iterable[Any], graph: Any):
         d.get("task", "") for d in injected_events
         if d.get("fault") == "kernel_raise"
     }
-    # Attribute failures to kernels (a fused driver's task.fail carries
-    # the member name when the containment hook re-attributed it; raw
-    # source/sink task failures keep their task name).
+    # Attribute failures to the failing tasks' names (kernel instances,
+    # fused chain members, source/sink tasks).
     failures = [
         TaskFailure(
             task=name,

@@ -22,8 +22,8 @@ time split, and stall diagnostics.
 from __future__ import annotations
 
 import sys
-from time import perf_counter
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, \
+    Set, Tuple
 
 from ..errors import (
     DeadlockError,
@@ -33,19 +33,12 @@ from ..errors import (
 from ..faults.cone import cancelled_sinks, dependent_cone, failure_report
 from ..faults.report import FailureReport, TaskFailure, TeardownError
 from ..faults.waitfor import analyze_waiters
-from .fused import (
-    FusedDriver,
-    FusedLink,
-    FusedMember,
-    OptimizedPlan,
-    SinkStore,
-    SourceFeed,
-)
-from .graph import ComputeGraph, Net
+from .fused import ChainMember, OptimizedPlan, SinkStore, SourceFeed
+from .graph import ComputeGraph
 from .ports import bind_kernel_ports, next_consumer
-from .queues import BroadcastQueue, DEFAULT_QUEUE_CAPACITY, LatchQueue
+from .queues import BroadcastQueue, LatchQueue
 from .result import RunResult, kernel_fraction
-from .scheduler import CooperativeScheduler, SchedulerStats, TaskState
+from .scheduler import CooperativeScheduler, TaskState
 from .sources_sinks import (
     RuntimeParam,
     check_io,
@@ -69,8 +62,9 @@ class RuntimeContext:
     ``"pysim"`` (what each option means is in :mod:`repro.exec.spec`);
     ``None`` binds the defaults.  *optimize_plan* is the plan compiler's
     :class:`~repro.core.fused.OptimizedPlan` for ``spec.optimize``
-    (``repro.exec.optimize``): its chains run as fused drivers.  The
-    context never closes ``spec.observe``; whoever bound it does.
+    (``repro.exec.optimize``): its members run as ordinary tasks, with
+    the graph I/O they own bound to feeds and stores.  The context never
+    closes ``spec.observe``; whoever bound it does.
     """
 
     def __init__(self, graph: ComputeGraph, spec: "RunSpec" = None,
@@ -90,7 +84,6 @@ class RuntimeContext:
         self.optimize_plan = optimize_plan
         self.queues: Dict[int, Any] = {}
         self._consumer_alloc: Dict[int, int] = {}  # net_id -> next idx
-        self._kernel_ports: List[Tuple] = []       # per-instance port lists
         self._io_bound = False
         self._sink_containers: List[Any] = []
         self._sources: List[Tuple[int, Any]] = []  # (input_idx, coroutine)
@@ -102,44 +95,45 @@ class RuntimeContext:
         # None for a list filled by a sink task.
         self._outputs: List[Tuple[int, Any, Any, Any]] = []
         self._source_tasks: List = []
-        self._drivers: List[FusedDriver] = []
         self._feeds: Dict[int, SourceFeed] = {}    # net_id -> feed
+        self._stores: Set[int] = set()             # net ids bound to a store
         self._latches: Dict[int, LatchQueue] = {}  # RTP net_id -> latch
         # Containment wiring (repro.faults): which shared queues each
-        # scheduler task reads (queue, consumer_idx) and writes, which
-        # original instances each task carries, and the member makeup of
-        # fused driver tasks — everything the failure hook needs to
-        # detach cursors, poison streams, and attribute fused failures.
+        # scheduler task reads (queue, consumer_idx) and writes, and which
+        # original instances each task carries (a substituted chain
+        # member stands for several) — what the failure hook needs to
+        # detach cursors, poison streams and seed the dependent cone.
         self._task_inputs: Dict[str, List[Tuple[Any, int]]] = {}
         self._task_outputs: Dict[str, List[Any]] = {}
         self._owner_task: Dict[str, str] = {}      # instance -> task name
         self._member_instances: Dict[str, Tuple[str, ...]] = {}
-        self._driver_members: Dict[str, Tuple[str, ...]] = {}
-        self._store_owner: Dict[int, str] = {}     # store net -> driver
 
-        plan = optimize_plan
-        if plan is not None and plan.chains:
-            fused_idxs = plan.fused_instance_idxs
-            link_nets = {n for ch in plan.chains for n in ch.link_nets}
-            feed_nets = {n for ch in plan.chains for n in ch.feed_nets}
-            store_nets = {n for ch in plan.chains for n in ch.store_nets}
-        else:
-            plan = None
-            fused_idxs = frozenset()
-            link_nets = feed_nets = store_nets = frozenset()
+        # An optimize plan changes two things: graph I/O owned by a chain
+        # is bound straight to the caller's containers (feeds and
+        # stores), and a chain member may be a fused equivalent standing
+        # in for several instances.  Every member is an ordinary task.
+        standins: Dict[str, ChainMember] = {}   # first instance -> member
+        feed_nets: Set[int] = set()
+        absorbed: Set[int] = set()
+        covered: FrozenSet[int] = frozenset()
+        if optimize_plan is not None:
+            for chain in optimize_plan.chains:
+                standins.update((m.fused_from[0], m) for m in chain.members)
+                feed_nets.update(chain.feed_nets)
+                self._stores.update(chain.store_nets)
+                absorbed.update(chain.absorbed_nets)
+            covered = optimize_plan.fused_instance_idxs
+        unwired = feed_nets | self._stores | absorbed
 
         # Step 1 (§3.6): recreate all I/O ports — one queue per net.
-        # Under an optimize plan, elided nets get driver-local buffer
-        # fronts instead of scheduler-coupled broadcast queues.  Tracing
-        # and fault proxies are installed here, before any kernel port
-        # captures a queue reference, tracing innermost so a dropped or
-        # frozen element never reaches the tracer.  Only nets the plan
-        # did not elide can carry a fault proxy; a targeted net turned
-        # into a driver-local front is reported by check_wired() rather
-        # than silently skipped.
+        # Tracing and fault proxies are installed here, before any
+        # kernel port captures a queue reference, tracing innermost so a
+        # dropped or frozen element never reaches the tracer.  A net
+        # bound to a caller's container, or absorbed inside a fused
+        # equivalent, carries no proxy; a fault plan targeting one is
+        # reported by check_wired() rather than silently skipped.
         tracer = spec.observe
         session = self.fault_session
-        elided = link_nets | feed_nets | store_nets
         for net in graph.nets:
             n_consumers = len(net.consumers) + sum(
                 1 for io in graph.outputs if io.net_id == net.net_id
@@ -149,16 +143,10 @@ class RuntimeContext:
                     n_consumers=max(n_consumers, 1), name=net.name,
                 )
                 self._latches[net.net_id] = q
-            elif net.net_id in link_nets:
-                q = FusedLink(
-                    capacity=max(DEFAULT_QUEUE_CAPACITY, capacity,
-                                 net.queue_depth(0)),
-                    name=net.name,
-                )
             elif net.net_id in feed_nets:
-                q = SourceFeed(name=net.name)
-                self._feeds[net.net_id] = q
-            elif net.net_id in store_nets:
+                q = self._feeds[net.net_id] = SourceFeed(
+                    name=net.name, capacity=net.queue_depth(capacity))
+            elif net.net_id in self._stores:
                 q = SinkStore(name=net.name)
             else:
                 depth = net.queue_depth(capacity)
@@ -173,108 +161,37 @@ class RuntimeContext:
                         name=net.name,
                     )
             q = traced(q, tracer)
-            if session is not None and net.net_id not in elided:
+            if session is not None and net.net_id not in unwired:
                 q = session.wrap_queue(net.name, q)
             self.queues[net.net_id] = q
             self._consumer_alloc[net.net_id] = 0
         if session is not None:
             session.check_wired()
 
-        # Step 2 (§3.6): instantiate kernels and connect them.  Instances
-        # covered by a fused chain are instantiated below as chain
-        # members instead.
+        # Step 2 (§3.6): instantiate kernels and connect them, in graph
+        # order; a chain member takes the place of the first instance it
+        # covers.
         self._kernel_coros: List[Tuple[str, Any]] = []
         for inst in graph.kernels:
-            if inst.index in fused_idxs:
-                continue
             name = inst.instance_name
+            m = standins.get(name)
+            if m is None:
+                if inst.index in covered:
+                    continue
+                m = ChainMember(name, inst.kernel, inst.port_nets, (name,))
             ports, ins, outs = bind_kernel_ports(
-                name, inst.kernel, inst.port_nets, self.queues,
+                m.name, m.kernel, m.port_nets, self.queues,
                 self._consumer_alloc, validate,
             )
-            coro = inst.kernel.instantiate(ports)
+            coro = m.kernel.instantiate(ports)
             if session is not None:
-                coro = session.wrap_kernel(name, coro)
-            self._kernel_coros.append((name, coro))
-            self._kernel_ports.append(tuple(ports))
-            self._task_inputs[name] = ins
-            self._task_outputs[name] = outs
-            self._owner_task[name] = name
-            self._member_instances[name] = (name,)
-
-        # Step 2b: build one fused driver per planned chain.
-        if plan is not None:
-            for chain in plan.chains:
-                self._drivers.append(self._build_driver(chain))
-
-    def _build_driver(self, chain) -> FusedDriver:
-        """Instantiate a chain's members and wire them into a driver."""
-        validate = self.spec.validate
-        session = self.fault_session
-        members: List[FusedMember] = []
-        # id(link) -> [link, producing member, consuming member]
-        ends = {id(q): [q, None, None]
-                for q in (self.queues[nid] for nid in chain.link_nets)}
-        ins: List[Tuple[Any, int]] = []   # external reads of the chain
-        outs: List[Any] = []              # external poisonable writes
-        internal = {id(self.queues[nid]) for nid in
-                    chain.link_nets + chain.feed_nets + chain.store_nets}
-        for mb in chain.members:
-            ports, reads, writes = bind_kernel_ports(
-                mb.name, mb.kernel, mb.port_nets, self.queues,
-                self._consumer_alloc, validate,
-            )
-            ins += [r for r in reads if id(r[0]) not in internal]
-            outs += [q for q in writes if id(q) not in internal]
-            coro = mb.kernel.instantiate(ports)
-            if session is not None:
-                coro = session.wrap_kernel(mb.name, coro,
-                                           aliases=tuple(mb.fused_from))
-            member = FusedMember(mb.name, coro)
-            members.append(member)
-            self._member_instances[mb.name] = tuple(mb.fused_from)
-            for orig in mb.fused_from:
-                self._owner_task[orig] = chain.name
-            for q in writes:
-                if id(q) in ends:
-                    ends[id(q)][1] = member
-            for q, _cidx in reads:
-                if id(q) in ends:
-                    ends[id(q)][2] = member
-        links = {qid: tuple(end) for qid, end in ends.items()}
-        feed_ids = frozenset(
-            id(self.queues[nid]) for nid in chain.feed_nets
-        )
-        self._task_inputs[chain.name] = ins
-        self._task_outputs[chain.name] = outs
-        self._driver_members[chain.name] = tuple(m.name for m in members)
-        for nid in chain.store_nets:
-            self._store_owner[nid] = chain.name
-        return FusedDriver(chain.name, members, links=links,
-                           feed_ids=feed_ids)
-
-    def _merge_driver_stats(self, stats: SchedulerStats) -> None:
-        """Re-attribute each fused driver's stats row to its members, so
-        reports keep naming the original kernel instances."""
-        t_end = perf_counter()
-        for drv in self._drivers:
-            drv.finalize_times(t_end)
-            drv_state = stats.task_states.pop(drv.name, None)
-            stats.task_resumes.pop(drv.name, None)
-            drv_cpu = stats.task_cpu_time.pop(drv.name, None)
-            drv_blocked = stats.task_blocked_time.pop(drv.name, None)
-            for m in drv.members:
-                state = m.final_state
-                if drv_state in ("cancelled", "failed") and state not in (
-                    "finished", "failed",
-                ):
-                    state = "cancelled"
-                stats.task_states[m.name] = state
-                stats.task_resumes[m.name] = m.resumes
-                if drv_cpu is not None:
-                    stats.task_cpu_time[m.name] = m.cpu_time
-                if drv_blocked is not None:
-                    stats.task_blocked_time[m.name] = m.blocked_time
+                coro = session.wrap_kernel(m.name, coro, aliases=m.fused_from)
+            self._kernel_coros.append((m.name, coro))
+            self._task_inputs[m.name] = ins
+            self._task_outputs[m.name] = outs
+            self._member_instances[m.name] = m.fused_from
+            for orig in m.fused_from:
+                self._owner_task[orig] = m.name
 
     # -- global I/O binding (§3.7) ---------------------------------------------------
 
@@ -296,10 +213,9 @@ class RuntimeContext:
                 preset_rtp(self._latches[gio.net_id], net.dtype, container,
                            validate)
             elif gio.net_id in self._feeds:
-                # Net owned exclusively by a fused chain: the driver pulls
+                # Net owned exclusively by a fused chain: the member pulls
                 # elements straight from the container, no source task.
-                q.bind(net.dtype, container, validate,
-                       batch_io or self.spec.capacity)
+                q.bind(net.dtype, container, validate, batch_io)
                 q.producer_names.append(f"source[{gio.io_index}]")
             else:
                 coro = make_source(q, net.dtype, container, validate,
@@ -314,9 +230,9 @@ class RuntimeContext:
             if net.settings.runtime_parameter:
                 self._rtp_sinks.append(
                     (gio.io_index, self._latches[gio.net_id], container))
-            elif gio.net_id in self._store_owner:
+            elif gio.net_id in self._stores:
                 # Fused-chain output: writes land in the container as the
-                # driver produces them, no sink task.
+                # member produces them, no sink task.
                 q.bind(net.dtype, container)
                 q.consumer_names.append(f"sink[{gio.io_index}]")
                 self._outputs.append((gio.io_index, container, net.dtype, q))
@@ -390,8 +306,7 @@ class RuntimeContext:
         with kernels blocked on *writes* (a stall, as opposed to the
         normal end-of-input state where kernels block on reads).  A
         stack sampler in ``spec.profile`` samples the scheduler thread
-        for the duration of the run, attributed to the current task
-        (fused-driver members resolve to the member being stepped).
+        for the duration of the run, attributed to the current task.
         """
         if not self._io_bound:
             if self.graph.inputs or self.graph.outputs:
@@ -418,15 +333,9 @@ class RuntimeContext:
             q.bind_scheduler(sched)
 
         # Kernels first (they were created suspended at construction),
-        # then fused drivers, sources and sinks.
+        # then sources and sinks.
         for name, coro in self._kernel_coros:
             sched.spawn(name, coro, kind="kernel")
-        measure = profile or tracer is not None
-        for drv in self._drivers:
-            drv.tracer = tracer
-            drv.profile = profile
-            drv.measure = measure
-            sched.spawn(drv.name, drv, kind="kernel")
         for idx, coro in self._sources:
             self._source_tasks.append(
                 sched.spawn(f"source[{idx}]", coro, kind="source")
@@ -490,10 +399,6 @@ class RuntimeContext:
                 t.name for t in sched.tasks
                 if t.state is TaskState.BLOCKED_WRITE and t.kind == "kernel"
             ]
-            if self._drivers:
-                self._merge_driver_stats(stats)
-                for drv in self._drivers:
-                    blocked_writers.extend(drv.blocked_write_members())
         finally:
             if ckpt_session is not None and ckpt_policy.on_fault:
                 # on_error="fail" abort path: the exception is about to
@@ -563,13 +468,6 @@ class RuntimeContext:
         diagnosis = ""
         deadlock_report = None
         if deadlocked:
-            extra = [
-                line for drv in self._drivers for line in drv.stall_lines()
-            ]
-            if extra:
-                blockage = blockage + "\n" + "\n".join(extra) \
-                    if blockage.strip() != "(no blocked tasks)" \
-                    else "\n".join(extra)
             diagnosis = (
                 f"graph stalled before consuming all input "
                 f"({undrained} element(s) left undrained):\n"
@@ -642,7 +540,6 @@ class _ContainmentHook:
         self.sched: Optional[CooperativeScheduler] = None
         self.failures: List[TaskFailure] = []
         self.cancelled: Set[str] = set()   # exact dependent cone (+ sinks)
-        self.collateral: Set[str] = set()  # healthy members of dead drivers
         self.poisoned: List[str] = []      # tasks ended by poison, in order
         self.dead_instances: Set[str] = set()
 
@@ -668,17 +565,10 @@ class _ContainmentHook:
         self.sched._close_task(t)
         self._detach_inputs(name)
 
-    def _absorb_driver(self, task_name: str, failing: str) -> Set[str]:
-        """Instances carried by *task_name*; siblings of *failing* in a
-        fused driver die with the task and count as collateral."""
-        ctx = self.ctx
-        insts = set(ctx._member_instances.get(failing, (failing,)))
-        for m in ctx._driver_members.get(task_name, ()):
-            m_insts = ctx._member_instances.get(m, (m,))
-            if m != failing:
-                self.collateral.update(m_insts)
-            insts.update(m_insts)
-        return insts
+    def _instances(self, task_name: str) -> Tuple[str, ...]:
+        """Original instances a task carries: a substituted chain member
+        stands for several, a source or sink task for itself."""
+        return self.ctx._member_instances.get(task_name, (task_name,))
 
     def report(self) -> FailureReport:
         """The run's :class:`FailureReport`, from the shared rules."""
@@ -686,7 +576,6 @@ class _ContainmentHook:
         return failure_report(
             self.ctx.graph, self.policy, self.failures, self.dead_instances,
             cancelled=self.cancelled,
-            collateral=tuple(sorted(self.collateral)),
             poisoned=tuple(self.poisoned),
             teardown_errors=[
                 TeardownError(nm, err)
@@ -701,21 +590,19 @@ class _ContainmentHook:
     def task_failed(self, task, exc) -> None:
         """A task raised an ordinary exception; contain per policy."""
         ctx = self.ctx
-        member = getattr(task.coro, "failed_member", None)
-        failing = member or task.name
+        failing = task.name
         self.failures.append(TaskFailure(
             task=failing, error=exc,
-            via=task.name if member else "",
             injected=isinstance(exc, InjectedFaultError),
         ))
         # The dead task reads nothing more: release its cursors so
         # surviving producers never park on a reader that cannot drain.
-        self._detach_inputs(task.name)
-        seeds = self._absorb_driver(task.name, failing)
+        self._detach_inputs(failing)
+        seeds = self._instances(failing)
         self.dead_instances.update(seeds)
 
         if self.policy == "poison":
-            for q in ctx._task_outputs.get(task.name, ()):
+            for q in ctx._task_outputs.get(failing, ()):
                 q.poison(failing)
             return
 
@@ -723,16 +610,9 @@ class _ContainmentHook:
         cone = dependent_cone(ctx.graph, seeds)
         self.dead_instances.update(cone)
         self.cancelled.update(cone)
-        # Map cone instances to their scheduler tasks; a fused driver
-        # only partially inside the cone is cancelled whole, with its
-        # out-of-cone members recorded as collateral.
-        tasks = {ctx._owner_task.get(i, i) for i in cone}
-        for name in sorted(tasks):
-            for m in ctx._driver_members.get(name, ()):
-                for orig in ctx._member_instances.get(m, (m,)):
-                    if orig not in cone and orig not in seeds:
-                        self.collateral.add(orig)
-                        self.dead_instances.add(orig)
+        # Map cone instances to their scheduler tasks (a substituted
+        # chain member carries several).
+        for name in sorted({ctx._owner_task.get(i, i) for i in cone}):
             self._cancel_task(name)
         for sink in cancelled_sinks(ctx.graph, self.dead_instances):
             self.cancelled.add(sink)
@@ -740,13 +620,10 @@ class _ContainmentHook:
 
     def task_poisoned(self, task, exc) -> None:
         """A task observed a poisoned stream; cascade one hop."""
-        ctx = self.ctx
-        member = getattr(task.coro, "failed_member", None)
-        name = member or task.name
+        name = task.name
         self.poisoned.append(name)
-        insts = self._absorb_driver(task.name, name)
-        self.dead_instances.update(insts)
-        self._detach_inputs(task.name)
+        self.dead_instances.update(self._instances(name))
+        self._detach_inputs(name)
         origin = getattr(exc, "origin", "") or name
-        for q in ctx._task_outputs.get(task.name, ()):
+        for q in self.ctx._task_outputs.get(name, ()):
             q.poison(origin)

@@ -395,9 +395,7 @@ class CooperativeScheduler:
 
     def wait_snapshot(self) -> List[Waiter]:
         """Structured view of every parked task for wait-for-graph
-        analysis (:func:`repro.faults.analyze_waiters`).  Fused drivers
-        are reported as the member actually parked, with the driver task
-        recorded as ``via`` so peer names resolve either way."""
+        analysis (:func:`repro.faults.analyze_waiters`)."""
         out: List[Waiter] = []
         for t in self.blocked_tasks():
             queue, op, idx = t.blocked_on
@@ -411,16 +409,14 @@ class CooperativeScheduler:
                 fill = capacity - free \
                     if capacity is not None and free is not None else None
                 peers = tuple(getattr(queue, "consumer_names", ()))
-            member = getattr(t.coro, "blocked_member_name", None)
             out.append(Waiter(
-                task=member or t.name,
+                task=t.name,
                 op=op,
                 queue=queue.name or "",
                 kind=t.kind,
                 fill=fill,
                 capacity=capacity,
                 peers=peers,
-                via=t.name if member else "",
             ))
         return out
 
@@ -451,13 +447,8 @@ class CooperativeScheduler:
             detail = f"fill {fill}/{capacity}" if capacity is not None \
                 else "fill ?"
             peer_txt = ", ".join(peers) if peers else waiting_for
-            # A fused driver exposes which member kernel is actually
-            # parked; stall reports should name the original endpoint.
-            member = getattr(t.coro, "blocked_member_name", None)
-            who = f"{member} (kernel, fused into {t.name})" if member \
-                else f"{t.name} ({t.kind})"
             lines.append(
-                f"  {who} blocked on {op} of "
+                f"  {t.name} ({t.kind}) blocked on {op} of "
                 f"{qname} [{detail}; peers: {peer_txt}]"
             )
         return "\n".join(lines) if lines else "  (no blocked tasks)"

@@ -112,8 +112,8 @@ class InjectedFaultError(GraphRuntimeError):
 
 class FaultPlanError(GraphRuntimeError):
     """A :class:`repro.faults.FaultPlan` references a kernel, net, or
-    input that the target graph does not have, or targets a net that the
-    active optimize plan elided."""
+    input that the target graph does not have, or targets a net that no
+    queue carries under the active optimize plan."""
 
 
 class CheckpointError(GraphRuntimeError):

@@ -1,20 +1,13 @@
 """Optimizing plan compiler: chain fusion analysis (cgsim, §3.8 fast path).
 
 Analyzes a deserialized :class:`~repro.core.graph.ComputeGraph` and
-produces an :class:`~repro.core.fused.OptimizedPlan` describing which
-kernel chains the runtime should fuse:
+produces an :class:`~repro.core.fused.OptimizedPlan`: which maximal
+linear 1-producer/1-consumer kernel chains to fuse, and how.  Broadcast
+and merge nets are fusion barriers: an edge joins a chain only when its
+net has exactly one producer endpoint, exactly one consumer endpoint,
+and is not a graph input/output.  Fusion is a plan-time choice of
+transports plus substitution; it adds no scheduler of its own:
 
-* **chain fusion** — maximal linear 1-producer/1-consumer kernel chains
-  collapse into one driver coroutine; the member-to-member nets become
-  local :class:`~repro.core.fused.FusedLink` buffers (queue elision).
-  Broadcast and merge nets are fusion barriers: an edge is elidable only
-  when its net has exactly one producer endpoint, exactly one consumer
-  endpoint, and is not a graph input/output.
-* **boundary elision** — a graph input consumed only by a chain is bound
-  straight to the user container (``SourceFeed``); a graph output
-  produced only by a chain is written straight into the sink container
-  (``SinkStore``).  RTP latches stay latches (they are latched before
-  the run starts and never block).
 * **equivalent substitution** — a registered *fused equivalent* kernel
   (see :func:`register_fused_equivalent`) replaces a run of chain
   members when its port signature matches the segment's external
@@ -22,13 +15,16 @@ kernel chains the runtime should fuse:
   implementation: the replacement must be output-identical (enforced by
   the differential tests), and typically batches work across blocks to
   amortise per-call cost.
+* **feed/store binding** — a graph input consumed only by a chain is
+  bound straight to the user container (``SourceFeed``); a graph output
+  produced only by a chain is written straight into the sink container
+  (``SinkStore``).  Both remove a source/sink task and its context
+  switches.  RTP latches stay latches (they are latched before the run
+  starts and never block).
 
-Safety rule: the driver parks on at most one real (non-elided) queue at
-a time.  A chain where **more than one member** touches real boundary
-queues could need two simultaneous external parks — a missed-wakeup
-hazard — so such chains are left unfused.  In practice heads read feeds
-and tails write stores, so real boundaries are rare and chains with one
-boundary member (or a single member) fuse fine.
+At run time every member, substituted or not, is an ordinary
+cooperative-scheduler task, and a net between two members is the
+ordinary queue the run spec selects.
 
 Plan construction is pure analysis over the graph structure; results
 are cached per serialized-graph structure in ``repro.exec.plan_cache``.
@@ -128,9 +124,8 @@ def analyze_graph(graph: ComputeGraph, level: str) -> Optional[OptimizedPlan]:
 
     # -- member eligibility --------------------------------------------------
     # A kernel may join a chain only if its RTP inputs are pure graph
-    # inputs (latched before the run; a latch read from inside a driver
-    # then never parks) and it writes no RTP output (an RTP written
-    # mid-run must stay visible to external readers immediately).
+    # inputs (latched before the run starts) and it writes no RTP
+    # output, so a plan never covers a latch set mid-run.
     eligible = set()
     for inst in graph.kernels:
         ok = True
@@ -219,8 +214,6 @@ def analyze_graph(graph: ComputeGraph, level: str) -> Optional[OptimizedPlan]:
         members, absorbed = _substitute(graph, by_index, seq)
         chain = _classify(graph, input_counts, output_counts, is_rtp,
                           seq, members, absorbed)
-        if chain is None:
-            continue
         substituted = any(len(m.fused_from) > 1 or
                           m.kernel is not by_index[idx].kernel
                           for m, idx in _member_origin_pairs(members, seq))
@@ -361,12 +354,9 @@ def _build_substituted_member(graph: ComputeGraph,
 
 def _classify(graph: ComputeGraph, input_counts, output_counts, is_rtp,
               seq: List[int], members: List[ChainMember],
-              absorbed: List[int]) -> Optional[FusedChain]:
-    """Classify the chain's nets and apply the safety rule.
-
-    Returns the :class:`FusedChain`, or ``None`` when the chain must
-    stay unfused (more than one member touches real boundary queues).
-    """
+              absorbed: List[int]) -> FusedChain:
+    """Classify the chain's nets: member-to-member links, graph inputs
+    it alone reads (feeds) and graph outputs it alone writes (stores)."""
     out_net_member: Dict[int, int] = {}
     in_net_member: Dict[int, int] = {}
     for pos, m in enumerate(members):
@@ -381,8 +371,7 @@ def _classify(graph: ComputeGraph, input_counts, output_counts, is_rtp,
 
     feed_nets: List[int] = []
     store_nets: List[int] = []
-    boundary_members = set()
-    for pos, m in enumerate(members):
+    for m in members:
         for p, nid in enumerate(m.port_nets):
             if nid in link_set or is_rtp(nid):
                 continue
@@ -393,18 +382,11 @@ def _classify(graph: ComputeGraph, input_counts, output_counts, is_rtp,
                         and not net.producers
                         and len(net.consumers) == 1):
                     feed_nets.append(nid)
-                else:
-                    boundary_members.add(pos)
-            else:
-                if (output_counts.get(nid) == 1
-                        and input_counts.get(nid, 0) == 0
-                        and not net.consumers
-                        and len(net.producers) == 1):
-                    store_nets.append(nid)
-                else:
-                    boundary_members.add(pos)
-    if len(boundary_members) > 1:
-        return None
+            elif (output_counts.get(nid) == 1
+                    and input_counts.get(nid, 0) == 0
+                    and not net.consumers
+                    and len(net.producers) == 1):
+                store_nets.append(nid)
 
     name = "fused:" + "+".join(
         orig for m in members for orig in m.fused_from

@@ -146,7 +146,8 @@ OPTIONS: Dict[str, Option] = {
         {"cgsim": honour("none"),
          "pysim": ignore("the unoptimized round trip is the point"),
          "x86sim": ignore("threads have no scheduler hops to elide"),
-         "cgsim-mp": ignore("fusion is a single-scheduler concept")},
+         "cgsim-mp": ignore("workers do not build optimize plans yet "
+                            "(ROADMAP item 1a)")},
         wire=True),
     "capacity": Option(
         _positive_int("capacity"), "default queue depth",

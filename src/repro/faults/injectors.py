@@ -7,8 +7,8 @@ Two injection points cover every fault class in a :class:`FaultPlan`:
   :class:`~repro.errors.InjectedFaultError` instead of performing the
   kernel's Nth resume.  Because the wrapper speaks the same
   ``send``/``close`` protocol as the coroutine it wraps, it behaves
-  identically under the cooperative scheduler, inside a fused driver,
-  and on the x86sim thread trampoline.
+  identically under the cooperative scheduler and on the x86sim thread
+  trampoline.
 
 * :class:`FaultyStreamQueue` is a transparent proxy installed in front
   of a targeted net's queue *before* any kernel port captures a

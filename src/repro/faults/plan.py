@@ -5,7 +5,8 @@ the ``faults=`` option (on ``repro.exec.run_graph`` or directly on a
 compiled graph call).  Specs name their targets by *graph* identity —
 kernel instance name, net name, or graph input name — so one plan works
 unchanged on every backend, with or without optimization (targeting a
-net the optimize plan elided is an error, not a silent no-op).
+net that the optimize plan carries on no queue is an error, not a
+silent no-op).
 
 Determinism contract: for a fixed plan, backend, and input data, the
 injected events are identical run-to-run.  ``KernelFault.at_resume``
@@ -191,8 +192,8 @@ class FaultSession:
     Dispatches each injection to its target, records every triggered
     event (both on the ``repro.observe`` trace as ``fault.inject``
     events and on :attr:`events` for the run's failure report), and
-    tracks which targeted nets actually got wrapped so targeting an
-    optimizer-elided net fails loudly.
+    tracks which targeted nets actually got wrapped so targeting a net
+    that an optimize plan carries on no queue fails loudly.
     """
 
     def __init__(self, plan: FaultPlan, graph):
@@ -285,14 +286,16 @@ class FaultSession:
         )
 
     def check_wired(self) -> None:
-        """Raise if a targeted net never received its proxy (the active
-        optimize plan elided it into a driver-local buffer)."""
+        """Raise if a targeted net never received its proxy: the active
+        optimize plan bound it straight to a caller's container, or
+        absorbed it inside a fused equivalent, so no queue carries it."""
         missing = sorted(set(self._net_faults) - self._wrapped_nets)
         if missing:
             raise FaultPlanError(
-                f"fault plan targets net(s) {missing} that the active "
-                f"optimize plan elided (fused into a driver-local "
-                f"buffer); re-run with optimize='none' or target a "
+                f"fault plan targets net(s) {missing} that no queue "
+                f"carries under the active optimize plan (bound to a "
+                f"caller's container or absorbed by a fused "
+                f"equivalent); re-run with optimize='none' or target a "
                 f"different net"
             )
 

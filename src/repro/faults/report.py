@@ -32,7 +32,7 @@ class TaskFailure:
 
     task: str                       # kernel/member name the failure belongs to
     error: BaseException
-    via: str = ""                   # scheduler task that carried it (fused driver)
+    via: str = ""                   # carrier of the failure (cgsim-mp: its worker)
     injected: bool = False          # raised by a FaultPlan KernelFault
 
     def describe(self) -> str:
@@ -85,7 +85,7 @@ class FailureReport:
     policy: str                                   # "isolate" | "poison" | "fail"
     failures: List[TaskFailure] = field(default_factory=list)
     cancelled: Tuple[str, ...] = ()               # dependent cone, exact
-    collateral: Tuple[str, ...] = ()              # healthy members of a failed fused driver
+    collateral: Tuple[str, ...] = ()              # healthy, lost with a worker (cgsim-mp)
     poisoned: Tuple[str, ...] = ()                # tasks terminated by poison
     sink_status: Dict[str, str] = field(default_factory=dict)
     teardown_errors: List[TeardownError] = field(default_factory=list)
@@ -111,7 +111,7 @@ class FailureReport:
         if self.cancelled:
             lines.append("  cancelled cone: " + ", ".join(self.cancelled))
         if self.collateral:
-            lines.append("  collateral (fused): " + ", ".join(self.collateral))
+            lines.append("  collateral: " + ", ".join(self.collateral))
         if self.poisoned:
             lines.append("  poisoned: " + ", ".join(self.poisoned))
         for sink, status in sorted(self.sink_status.items()):

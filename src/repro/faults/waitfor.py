@@ -33,18 +33,15 @@ class Waiter:
     fill: Optional[int] = None      # elements visible to the waiter
     capacity: Optional[int] = None
     peers: Tuple[str, ...] = ()     # who must act to unblock this waiter
-    via: str = ""                   # owning fused-driver task, if any
 
     def describe(self) -> str:
         fill = "?" if self.fill is None else str(self.fill)
         cap = "?" if self.capacity is None else str(self.capacity)
-        who = f"{self.task} (fused into {self.via})" if self.via \
-            else f"{self.task} ({self.kind})"
         peer_txt = ", ".join(self.peers) if self.peers else (
             "a producer" if self.op == "read" else "a consumer"
         )
         return (
-            f"{who} waiting to {self.op} {self.queue!r} "
+            f"{self.task} ({self.kind}) waiting to {self.op} {self.queue!r} "
             f"[fill {fill}/{cap}; waits on: {peer_txt}]"
         )
 
@@ -96,7 +93,7 @@ class DeadlockReport:
             "waiters": [
                 {"task": w.task, "op": w.op, "queue": w.queue,
                  "role": w.kind, "fill": w.fill, "capacity": w.capacity,
-                 "peers": list(w.peers), "via": w.via}
+                 "peers": list(w.peers)}
                 for w in self.waiters
             ],
         }
@@ -134,25 +131,13 @@ def analyze_waiters(waiters: Sequence[Waiter],
 
     Edges run from each parked task to the peers that must act to
     unblock it, restricted to peers that are themselves parked (a
-    running or finished peer is not part of any deadlock).  Peer names
-    that refer to a fused driver are resolved to the blocked member it
-    reported.
+    running or finished peer is not part of any deadlock).
     """
     ws = list(waiters)
     nodes = {w.task for w in ws}
-    alias = {w.via: w.task for w in ws if w.via}
-
-    def resolve(peer: str) -> Optional[str]:
-        if peer in nodes:
-            return peer
-        return alias.get(peer)
-
     edges: Dict[str, Tuple[str, ...]] = {}
     for w in ws:
-        targets = sorted({
-            r for r in (resolve(p) for p in w.peers)
-            if r is not None and r != w.task
-        })
+        targets = sorted({p for p in w.peers if p in nodes and p != w.task})
         if targets:
             edges[w.task] = tuple(targets)
     return DeadlockReport(kind=kind, waiters=ws, cycles=_find_cycles(edges))

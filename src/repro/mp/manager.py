@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import traceback
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
@@ -527,6 +528,19 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
             warnings=dog.warnings() if dog is not None else [],
             raw=ShardRun(placement, worker_walls),
         )
+    except BaseException as exc:
+        # The error's traceback keeps this frame and the merge frames
+        # alive, and their packed sink arrays map the hand-back files:
+        # drop those views so each file closes now, not at the next
+        # cyclic collection.
+        results.clear()
+        msg = None
+        seen = set()
+        while exc is not None and id(exc) not in seen:
+            seen.add(id(exc))
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__cause__ or exc.__context__
+        raise
     finally:
         if dog is not None:
             dog.stop()

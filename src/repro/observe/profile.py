@@ -4,10 +4,9 @@ The cgsim scheduler runs every kernel coroutine on one thread, so a
 sampler thread reading ``sys._current_frames()`` for that thread at a
 fixed interval sees exactly the frame stack of whichever task is
 running.  Attribution does not rely on frame inspection alone: the
-scheduler publishes its current task (``CooperativeScheduler._current``)
-and a fused driver publishes the *member* it is stepping
-(``FusedDriver.current_member_name``), so samples land on real kernel
-names even inside fused composites.
+scheduler publishes its current task (``CooperativeScheduler._current``),
+so samples land on task names — a fused chain's members are ordinary
+tasks.
 
 The output is a :class:`ProfileReport`: per-task sample counts (a
 self-time table, ``samples * interval`` seconds each) and collapsed
@@ -168,14 +167,10 @@ class ProfileReport:
 
 def scheduler_label_fn(sched) -> Callable[[], str]:
     """Attribution closure over a running cooperative scheduler: the
-    current task's name, refined to the active fused member when the
-    current task is a :class:`~repro.core.fused.FusedDriver`."""
+    current task's name."""
     def label() -> str:
         task = getattr(sched, "_current", None)
-        if task is None:
-            return ""
-        member = getattr(task.coro, "current_member_name", None)
-        return member or task.name
+        return "" if task is None else task.name
     return label
 
 

@@ -2,8 +2,8 @@
 
 Every op is a ``types.coroutine`` generator: a ready op returns without
 yielding, a blocked op yields exactly its park command to whoever drives
-the coroutine (the cooperative scheduler, a fused driver, an x86sim
-thread).  These tests drive the ops by hand with ``send(None)`` over a
+the coroutine (the cooperative scheduler or an x86sim thread).  These
+tests drive the ops by hand with ``send(None)`` over a
 :class:`BroadcastQueue` and pin every command, the poison and
 ``validate`` timing, the item counters and the batch partial-progress
 fields.  (``test_ports.py`` covers the declarations.)

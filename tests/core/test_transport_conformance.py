@@ -14,7 +14,7 @@ import pytest
 
 from conftest import build_fig4_graph
 from repro.core import Window, float32, int32
-from repro.core.fused import FusedLink, SinkStore, SourceFeed
+from repro.core.fused import SinkStore, SourceFeed
 from repro.core.ports import (
     KernelReadPort,
     KernelWritePort,
@@ -276,8 +276,6 @@ TRACE_CASES = {
     "ThreadedLatchQueue": (
         lambda: ThreadedLatchQueue(n_consumers=1, name="latch"),
         _latch_script, _LATCH_EVENTS),
-    "FusedLink": (lambda: FusedLink(capacity=4, name="link"), _ring_script,
-                  _RING_EVENTS),
     "SourceFeed": (lambda: SourceFeed(name="feed"), _feed_script,
                    _TRANSFER_EVENTS),
     "SinkStore": (lambda: SinkStore(name="store"), _store_script,
@@ -317,8 +315,7 @@ def test_traced_is_identity_without_queue_events():
 
 
 def _transport_classes():
-    classes = {LatchQueue, ThreadedLatchQueue, FusedLink, SourceFeed,
-               SinkStore}
+    classes = {LatchQueue, ThreadedLatchQueue, SourceFeed, SinkStore}
     for name in TRANSPORTS:
         q, _ = _make(name)
         classes.add(type(q))
@@ -375,7 +372,6 @@ def _faulty_ring():
 #: carrier -> factory of a fresh, empty queue with one consumer
 PUT_CARRIERS = {
     **{name: _registered(name) for name in TRANSPORTS},
-    "FusedLink": lambda: FusedLink(capacity=4, name="link"),
     "fault proxy": _faulty_ring,
 }
 

@@ -100,8 +100,8 @@ class TestRunResultStats:
     ], ids=["none", "fuse", "cgsim-mp"])
     def test_profile_populates_kernel_fraction(self, fig4_graph, backend,
                                                options):
-        # Task CPU time over the scheduler wall: a fused driver finishes
-        # in one resume, whose slice must count too.
+        # Task CPU time over the scheduler wall: a fused member can
+        # finish in one resume, whose slice must count too.
         r = run_graph(fig4_graph, list(range(32)), [], backend=backend,
                       profile=True, **options)
         assert r.per_kernel_time

@@ -16,7 +16,7 @@ import pytest
 from repro.apps import bilinear, bitonic, datasets, farrow, iir
 from repro.core import IoC, IoConnector, make_compute_graph
 from repro.core.dtypes import int64
-from repro.errors import GraphRuntimeError
+from repro.errors import FaultPlanError, GraphRuntimeError
 from repro.exec import (
     analyze_graph,
     clear_plan_cache,
@@ -27,7 +27,9 @@ from repro.exec import (
     resolve_graph,
     run_graph,
 )
-from repro.testing import t_add, t_dbl
+from repro.faults import NetCorrupt, NetDrop
+from repro.observe import FAULT_INJECT
+from repro.testing import t_add, t_dbl, t_inc, t_neg
 
 
 @pytest.fixture
@@ -315,6 +317,17 @@ def STARVED_MERGE(a: IoC[int64], b: IoC[int64]):
     return z
 
 
+def _kernel_lines(diagnosis):
+    """``{kernel: its blocked line}`` of a stall diagnosis."""
+    return {ln.split()[0]: ln.strip() for ln in diagnosis.splitlines()
+            if "(kernel) blocked on" in ln}
+
+
+def _kernel_states(result):
+    return {k: v for k, v in result.task_states.items()
+            if not k.startswith(("source[", "sink["))}
+
+
 class TestStatsAndDiagnostics:
     def test_per_member_accounting(self, fig4_graph):
         out = []
@@ -336,16 +349,16 @@ class TestStatsAndDiagnostics:
         assert r1.context_switches < r0.context_switches
 
     def test_blockage_names_the_member(self):
-        out = []
-        result = run_graph(STARVED_MERGE, [1, 2, 3, 4], [], out,
-                           backend="cgsim", capacity=1, optimize="fuse")
-        assert not result.completed
-        assert "fused into" in result.stall_diagnosis
-        # The *member* endpoint is named on the blocked line, with the
-        # driver it was fused into in parentheses.
-        blocked = [ln for ln in result.stall_diagnosis.splitlines()
-                   if "fused into" in ln]
-        assert any("blocked on" in ln for ln in blocked)
+        """Fused members are ordinary tasks: each blocked kernel's line
+        under ``fuse`` is its line in the unfused run."""
+        lines = {}
+        for level in ("none", "fuse"):
+            result = run_graph(STARVED_MERGE, [1, 2, 3, 4], [], [],
+                               backend="cgsim", capacity=1, optimize=level)
+            assert not result.completed
+            lines[level] = _kernel_lines(result.stall_diagnosis)
+        assert set(lines["fuse"]) == {"t_dbl_0", "t_dbl_1", "t_add_0"}
+        assert lines["fuse"] == lines["none"]
 
     def test_unfused_blockage_unchanged(self):
         out = []
@@ -367,7 +380,7 @@ class TestStatsAndDiagnostics:
         text = json.dumps(doc)  # must be a serializable document
         reloaded = json.loads(text)
         assert reloaded["traceEvents"]
-        # Synthetic per-member events carry the original kernel names.
+        # Member tasks carry the original kernel names.
         baseline = run_graph(fig4_graph, [1, 2, 3], [], backend="cgsim",
                              profile=True)
         members = [k for k in baseline.per_kernel_resumes
@@ -375,6 +388,85 @@ class TestStatsAndDiagnostics:
         assert members
         for member in members:
             assert member in text
+
+
+# ---------------------------------------------------------------------------
+# Chains whose members all touch shared queues, and faults inside chains
+# ---------------------------------------------------------------------------
+
+
+@make_compute_graph(name="shared_ends")
+def SHARED_ENDS(a: IoC[int64], x: IoC[int64]):
+    """t_add -> t_dbl: the head also reads ``x``, which t_neg reads
+    too, and the tail writes ``w``, which two kernels read — both
+    members touch queues shared with tasks outside the chain."""
+    y = IoConnector(int64, name="y")
+    w = IoConnector(int64, name="w")
+    r = IoConnector(int64, name="r")
+    p = IoConnector(int64, name="p")
+    q = IoConnector(int64, name="q")
+    t_add(a, x, y)
+    t_dbl(y, w)
+    t_neg(x, r)
+    t_inc(w, p)
+    t_neg(w, q)
+    return p, q, r
+
+
+class TestSharedQueueChains:
+    def test_chain_with_two_shared_ends_is_planned(self):
+        g = SHARED_ENDS.graph
+        plan = analyze_graph(g, "fuse")
+        chain = next(ch for ch in plan.chains if len(ch.members) == 2)
+        assert [m.name for m in chain.members] == ["t_add_0", "t_dbl_0"]
+        assert [g.net(n).name for n in chain.link_nets] == ["y"]
+        assert len(chain.feed_nets) == 1  # input a, read by the head only
+        assert chain.store_nets == ()
+
+    @pytest.mark.parametrize("x", [[10, 20, 30, 40, 50, 60], [10, 20, 30]],
+                             ids=["complete", "starved"])
+    def test_runs_like_unfused(self, x):
+        runs = {}
+        for level in ("none", "fuse"):
+            sinks = ([], [], [])
+            result = run_graph(SHARED_ENDS, [1, 2, 3, 4, 5, 6], x, *sinks,
+                               backend="cgsim", capacity=2, optimize=level)
+            runs[level] = (result.completed, sinks, _kernel_states(result),
+                           _kernel_lines(result.stall_diagnosis))
+        assert runs["fuse"] == runs["none"]
+        assert runs["fuse"][0] == (len(x) == 6)
+
+    @pytest.mark.parametrize("fault", [
+        NetDrop("b", every=3), NetCorrupt("b", every=2, offset=1),
+    ], ids=["drop", "corrupt"])
+    def test_fault_on_chain_net_fires_as_unfused(self, fig4_graph, fault):
+        """``b`` links fig4's two fused members: an ordinary queue, so a
+        fault proxy sits on it as in the unfused run."""
+        runs = {}
+        for level in ("none", "fuse"):
+            out = []
+            result = run_graph(fig4_graph, list(range(1, 26)), out,
+                               observe=True, optimize=level, faults=fault)
+            fired = [ev.meta for ev in result.trace.events
+                     if ev.kind == FAULT_INJECT]
+            runs[level] = (out, fired)
+        assert runs["fuse"][1]
+        assert runs["fuse"] == runs["none"]
+
+    @pytest.mark.parametrize("net", ["a", "c", "acc"])
+    def test_fault_on_unqueued_net_is_refused(self, fig4_graph, net):
+        """Under ``fuse`` fig4's input ``a`` and output ``c`` are bound
+        to the caller's lists, and farrow's ``acc`` lies inside the
+        fused equivalent: no queue carries them, so a fault on one could
+        never fire."""
+        if net == "acc":
+            blocks, mu = datasets.farrow_blocks(1)
+            io, graph = (blocks, int(mu), []), farrow.FARROW_GRAPH
+        else:
+            io, graph = ([1, 2, 3], []), fig4_graph
+        with pytest.raises(FaultPlanError, match=f"'{net}'"):
+            run_graph(graph, *io, optimize="fuse",
+                      faults=NetDrop(net, every=2))
 
 
 # ---------------------------------------------------------------------------

@@ -176,25 +176,31 @@ class TestPolicyValidation:
 
 
 class TestFusedAttribution:
-    def test_fused_driver_blames_member_kernel(self, fig4_graph):
-        """Under optimize="fuse" the two doublers share one driver task;
-        the report must still name the member kernel, with the driver
-        recorded as the ``via`` path."""
-        out = []
-        # at_resume=0 faults the member's very first drive: a fused
-        # link drains synchronously, so later resumes may never happen.
-        result = run_graph(
-            fig4_graph, DATA, out, optimize="fuse", on_error="isolate",
-            faults=KernelFault("doubler_kernel_1", at_resume=0))
-        report = result.failure
-        assert report.failing_task == "doubler_kernel_1"
-        failure = report.failures[0]
-        assert failure.via.startswith("fused:")
-        # The co-fused upstream member dies with its driver: collateral,
-        # not cancelled (it is not downstream of the failure).
-        assert report.collateral == ("doubler_kernel_0",)
-        assert report.cancelled == ("sink[0]",)
-        assert report.sink_status["sink[0]"] == "partial"
+    @staticmethod
+    def _fields(report):
+        return (report.failing_task, [f.via for f in report.failures],
+                report.cancelled, report.collateral, report.sink_status)
+
+    def test_fused_report_equals_unfused(self, fig4_graph):
+        """Under optimize="fuse" each chain member is an ordinary task,
+        so a kernel fault is reported exactly as in the unfused run: the
+        same failing task, no ``via`` path, the same cancelled cone, no
+        collateral and the same sink fates."""
+        for kernel in ("doubler_kernel_0", "doubler_kernel_1"):
+            for policy in ("isolate", "poison"):
+                for at_resume in (0, 1, 2):
+                    fault = KernelFault(kernel, at_resume=at_resume)
+                    reports = [
+                        run_graph(fig4_graph, DATA, [], optimize=level,
+                                  capacity=4, on_error=policy,
+                                  faults=fault).failure
+                        for level in ("none", "fuse")
+                    ]
+                    assert reports[0] is not None
+                    assert self._fields(reports[1]) == \
+                        self._fields(reports[0]), (kernel, policy, at_resume)
+                    assert reports[1].failing_task == kernel
+                    assert reports[1].collateral == ()
 
 
 class TestTeardownErrors:

@@ -6,7 +6,6 @@ cone — the same containment contract :mod:`repro.faults` gives the
 in-process backends — while sinks outside the cone stay complete.
 """
 
-import gc
 import os
 
 import numpy as np
@@ -155,13 +154,7 @@ def _farm_overflow(backend):
         run_graph(BITONIC_FARM4, *bitonic_farm_io(2), *sinks,
                   backend=backend, **options)
     err = info.value
-    seen = type(err), str(err), type(err.__cause__)
-    # The traceback holds the run's frames, whose packed sink arrays map
-    # each worker's hand-back file; collect that cycle now so the files
-    # close here, not during a later test's file-descriptor check.
-    del err, info
-    gc.collect()
-    return seen, sinks[2]
+    return (type(err), str(err), type(err.__cause__)), sinks[2]
 
 
 def test_sink_overflow_raises_as_on_cgsim():

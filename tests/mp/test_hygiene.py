@@ -1,6 +1,7 @@
 """cgsim-mp leaves nothing behind: no process, no file descriptor and
 no ``/dev/shm`` entry outlives a run, whether it ends cleanly, loses a
-worker, re-raises a remote failure or stalls — and a forked process
+worker, re-raises a remote failure, stalls or fails to store a sink —
+without waiting for the cyclic garbage collector — and a forked process
 that makes sharded calls and leaves with ``os._exit`` (the way
 ``perfbench`` samples set-up time) leaves no process of its own alive.
 """
@@ -11,9 +12,11 @@ import os
 import select
 import signal
 
+import numpy as np
 import pytest
 from farm_graphs import IIR_FARM4, iir_farm_io
 
+from repro.apps.farm import BITONIC_FARM4, bitonic_farm_io
 from repro.core import (
     AIE,
     In,
@@ -24,6 +27,7 @@ from repro.core import (
     int64,
     make_compute_graph,
 )
+from repro.errors import GraphRuntimeError
 from repro.exec import run_graph
 from repro.mp.manager import RemoteKernelError
 
@@ -121,8 +125,21 @@ def _stall():
     assert not result.completed and "stalled" in result.stall_diagnosis
 
 
+def _sink_overflow():
+    """A store error after the workers handed back packed sinks: the
+    hand-back files close before the error reaches the caller, which
+    still holds it here while the descriptors are counted."""
+    sinks = [[], [], np.zeros(16, np.float32), []]
+    with pytest.raises(GraphRuntimeError, match="sink array overflow") \
+            as info:
+        run_graph(BITONIC_FARM4, *bitonic_farm_io(2), *sinks,
+                  backend="cgsim-mp", workers=2)
+    return info
+
+
 CASES = {"clean": _clean, "ring": _ring, "worker_exit": _worker_exit,
-         "remote_raise": _remote_raise, "stall": _stall}
+         "remote_raise": _remote_raise, "stall": _stall,
+         "sink_overflow": _sink_overflow}
 
 
 def _open_fds():
@@ -144,7 +161,7 @@ def _warm():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_nothing_outlives_the_run(case):
     fds, shm = _open_fds(), _shm()
-    CASES[case]()
+    held = CASES[case]()  # noqa: F841 - a raised error stays referenced
     assert multiprocessing.active_children() == []
     assert _open_fds() == fds
     assert _shm() == shm

@@ -4,7 +4,7 @@ Under the cooperative scheduler a traced run's ``queue.put`` /
 ``queue.get`` stream is deterministic: the same graph and data produce
 the same ``(kind, queue, n, fill)`` sequence every time.  These tests
 pin a sha256 of that sequence (and its length) for the four paper apps,
-unfused and with ``optimize="full"`` (fused drivers, links, feeds and
+unfused and with ``optimize="full"`` (substituted members, feeds and
 stores), plus a small graph whose kernel reads an RTP input latch and
 writes an RTP output latch — so any change to where or how queue
 transfers are reported shows up as a digest mismatch.  x86sim's event
