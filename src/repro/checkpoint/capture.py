@@ -1,11 +1,12 @@
 """Capture driver: turns a policy plus a runtime state probe into
 checkpoint files.
 
-The session is engine-agnostic: whoever owns the run (the cgsim
-``RuntimeContext``, or the cgsim-mp manager on worker death) supplies
-``state_fn`` — a zero-argument callable returning the logical run
-state at the current quiescent point — and the session handles
-triggers, sequencing, atomic writes, pruning, and observe events.
+The session is engine-agnostic: the run core
+(:class:`repro.exec.api.RunLifecycle`) builds one per checkpointed run
+on every engine and supplies ``state_fn`` — a zero-argument callable
+returning the engine's logical run state at the current quiescent
+point — and the session handles triggers, sequencing, atomic writes,
+pruning, and observe events.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .format import (
     CheckpointInfo,
     default_checkpoint_name,
     fresh_timestamp,
+    graph_digest,
 )
 from .policy import CheckpointPolicy
 
@@ -30,28 +32,21 @@ class CheckpointSession:
 
     ``state_fn`` must return a dict with keys ``sinks`` (list of
     :class:`~repro.checkpoint.format.SinkSnapshot`), ``sources``,
-    ``items_in``, ``items_out``, ``queue_fills``, ``fired_faults``.
-    ``items_fn`` is an optional cheap progress counter used by the
-    ``every_items`` trigger without building full snapshots.
+    ``items_in``, ``items_out``, ``queue_fills``, ``fired_faults``, and
+    ``step`` where the engine has no scheduler step hook (cgsim-mp
+    records -1).
     """
 
-    def __init__(self, policy: CheckpointPolicy, *,
-                 graph_name: str,
-                 graph_digest: str,
-                 state_fn: Callable[[], Dict[str, Any]],
-                 items_fn: Optional[Callable[[], int]] = None,
-                 backend: str = "",
-                 run_id: str = "",
-                 options: Optional[Dict[str, Any]] = None,
+    def __init__(self, policy: CheckpointPolicy, graph: Any, backend: str,
+                 run_id: str, state_fn: Callable[[], Dict[str, Any]],
                  tracer: Any = None) -> None:
         self.policy = policy
-        self.graph_name = graph_name
-        self.graph_digest = graph_digest
+        self.graph_name = graph.name
+        self.graph_digest = graph_digest(graph)
         self.state_fn = state_fn
-        self.items_fn = items_fn
         self.backend = backend
-        self.run_id = run_id or policy.run_id
-        self.options = dict(options or {})
+        self.run_id = policy.run_id or run_id
+        self.options = dict(policy.options)
         self.tracer = tracer
         self.paths: List[str] = []
         self.last_path: str = ""
@@ -63,9 +58,11 @@ class CheckpointSession:
 
     # -- scheduler hook ---------------------------------------------------
 
-    def make_step_hook(self) -> Optional[Callable[[int], None]]:
+    def make_step_hook(self, items_fn: Callable[[], int]
+                       ) -> Optional[Callable[[int], None]]:
         """Per-context-switch hook, or ``None`` when no in-run trigger
-        (pure on-fault/at-end policies pay zero scheduler overhead)."""
+        (pure on-fault/at-end policies pay zero scheduler overhead);
+        ``every_items`` reads the cheap counter *items_fn*."""
         if not self.policy.periodic:
             return None
 
@@ -73,7 +70,6 @@ class CheckpointSession:
         every_steps = policy.every_steps
         every_items = policy.every_items
         trigger = policy.trigger
-        items_fn = self.items_fn
 
         def hook(steps: int) -> None:
             self._cur_step = steps
@@ -84,7 +80,7 @@ class CheckpointSession:
             if every_steps and steps - self._last_step >= every_steps:
                 self.capture("interval", step=steps)
                 return
-            if every_items and items_fn is not None:
+            if every_items:
                 done = items_fn()
                 if done - self._last_items >= every_items:
                     self.capture("interval", step=steps)
@@ -96,8 +92,9 @@ class CheckpointSession:
     def capture(self, reason: str, step: Optional[int] = None) -> str:
         """Snapshot the run state and atomically write one checkpoint
         file.  Returns the path written."""
-        at_step = self._cur_step if step is None else step
         state = self.state_fn()
+        at_step = state.get("step", self._cur_step) if step is None \
+            else step
         ckpt = Checkpoint(
             graph_name=self.graph_name,
             graph_digest=self.graph_digest,

@@ -105,6 +105,7 @@ def reconstruct_failure(events: Iterable[Any], graph: Any):
     (the run did not fail).
     """
     from ..exec.api import resolve_graph
+    from ..exec.optimize import member_instances
     from ..faults.cone import dependent_cone, failure_report
     from ..faults.report import TaskFailure
     from ..observe.events import TASK_FAIL
@@ -138,7 +139,9 @@ def reconstruct_failure(events: Iterable[Any], graph: Any):
         )
         for name, err in fails
     ]
-    seeds = {name for name, _ in fails}
+    # A substituted chain member fails under its joined name; the cone
+    # starts from the instances it stands for, as in the live run.
+    seeds = {inst for name, _ in fails for inst in member_instances(name)}
     cone = dependent_cone(g, seeds)
     run_id = next((ev.run for ev in evs if ev.run), "")
     return failure_report(

@@ -80,7 +80,7 @@ class RuntimeContext:
         fault_plan = spec.faults
         self.fault_session = fault_plan.session(graph) \
             if fault_plan is not None else None
-        self.checkpoint_session = None
+        self._sched: Optional[CooperativeScheduler] = None
         self.optimize_plan = optimize_plan
         self.queues: Dict[int, Any] = {}
         self._consumer_alloc: Dict[int, int] = {}  # net_id -> next idx
@@ -297,16 +297,35 @@ class RuntimeContext:
             else [],
         }
 
+    # -- run probes (the run core's watchdog and sampler read them) ---------------------
+
+    def progress(self) -> int:
+        """Queue transfers plus task resumes: plain int reads, safe
+        from the watchdog thread."""
+        total = 0
+        for q in self.queues.values():
+            total += getattr(q, "total_puts", 0)
+            total += getattr(q, "total_gets", 0)
+        for t in self._sched.tasks:
+            total += t.resumes
+        return total
+
+    def blockage(self) -> str:
+        return self._sched.describe_blockage()
+
+    def sample_label(self) -> str:
+        return self._sched.running()
+
     # -- execution (§3.8) ---------------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self, watch: Any = None) -> RunResult:
         """Execute the graph until no coroutine can continue.
 
         ``spec.strict`` raises :class:`DeadlockError` if the run ends
         with kernels blocked on *writes* (a stall, as opposed to the
-        normal end-of-input state where kernels block on reads).  A
-        stack sampler in ``spec.profile`` samples the scheduler thread
-        for the duration of the run, attributed to the current task.
+        normal end-of-input state where kernels block on reads).  Once
+        the tasks are spawned, this context goes live as the probes of
+        *watch*, the run core's :class:`~repro.exec.api.RunLifecycle`.
         """
         if not self._io_bound:
             if self.graph.inputs or self.graph.outputs:
@@ -315,9 +334,7 @@ class RuntimeContext:
                     "with global I/O"
                 )
         spec = self.spec
-        label = spec.backend
         tracer = spec.observe
-        profiler = spec.profiler
         session = self.fault_session
         if session is not None:
             session.attach_tracer(tracer)
@@ -343,51 +360,14 @@ class RuntimeContext:
         for idx, coro in self._sinks:
             sched.spawn(f"sink[{idx}]", coro, kind="sink")
 
-        ckpt_session = None
-        ckpt_policy = spec.checkpoint
-        if ckpt_policy is not None:
-            from ..checkpoint.capture import CheckpointSession
-            from ..checkpoint.format import graph_digest
-
-            ckpt_session = CheckpointSession(
-                ckpt_policy,
-                graph_name=self.graph.name,
-                graph_digest=graph_digest(self.graph),
-                state_fn=self.checkpoint_state,
-                items_fn=self._count_items_out,
-                backend=label,
-                run_id=ckpt_policy.run_id,
-                options=ckpt_policy.options,
-                tracer=tracer,
-            )
-            self.checkpoint_session = ckpt_session
-            step_hook = ckpt_session.make_step_hook()
-            if step_hook is not None:
-                sched.step_hook = step_hook
-
-        watchdog = spec.watchdog
-        if watchdog is not None:
-            queues = list(self.queues.values())
-            tasks = sched.tasks
-
-            def _progress() -> int:
-                # Plain int reads, safe from the watchdog thread; any
-                # queue transfer or task resume counts as progress.
-                total = 0
-                for q in queues:
-                    total += getattr(q, "total_puts", 0)
-                    total += getattr(q, "total_gets", 0)
-                for t in tasks:
-                    total += t.resumes
-                return total
-
-            watchdog.start(progress_fn=_progress,
-                           blockage_fn=sched.describe_blockage,
-                           tracer=tracer, scope=self.graph.name)
-        if profiler is not None:
-            from ..observe.profile import scheduler_label_fn
-
-            profiler.start(scheduler_label_fn(sched))
+        self._sched = sched
+        if watch is not None:
+            if watch.session is not None:
+                # Interval and explicit captures run at the scheduler's
+                # quiescent points.
+                sched.step_hook = watch.session.make_step_hook(
+                    self._count_items_out)
+            watch.live(self)
         try:
             stats = sched.run(max_steps=spec.max_steps)
             # Snapshot the wait diagnosis *before* teardown: close()
@@ -400,26 +380,6 @@ class RuntimeContext:
                 if t.state is TaskState.BLOCKED_WRITE and t.kind == "kernel"
             ]
         finally:
-            if ckpt_session is not None and ckpt_policy.on_fault:
-                # on_error="fail" abort path: the exception is about to
-                # propagate; persist the partial progress and ride the
-                # checkpoint path on the exception so RetryPolicy
-                # (resume=True) can pick it up.  Capture failures must
-                # never mask the primary error.
-                exc_in_flight = sys.exc_info()[1]
-                if exc_in_flight is not None:
-                    try:
-                        ckpt_path = ckpt_session.capture("on_fault")
-                        try:
-                            exc_in_flight.checkpoint_path = ckpt_path
-                        except Exception:  # pragma: no cover - slotted
-                            pass
-                    except Exception:
-                        pass
-            if profiler is not None:
-                profiler.stop()
-            if watchdog is not None:
-                watchdog.stop()
             sched.close()
             if sched.teardown_errors:
                 # A kernel intercepting GeneratorExit during teardown
@@ -445,10 +405,6 @@ class RuntimeContext:
         failure = None
         if hook is not None and (hook.failures or hook.poisoned):
             failure = hook.report()
-            if ckpt_session is not None:
-                path = ckpt_session.capture_on_fault()
-                if path:
-                    failure.checkpoint_path = path
 
         sources_done = all(
             t.state is TaskState.FINISHED for t in self._source_tasks
@@ -482,16 +438,8 @@ class RuntimeContext:
                     + "; ".join(deadlock_report.cycle_strings())
                 )
 
-        if ckpt_session is not None:
-            if deadlocked and failure is None:
-                # A stall is a fault for checkpoint purposes: the
-                # partial progress is exactly what triage wants.
-                ckpt_session.capture_on_fault()
-            elif failure is None and not deadlocked:
-                ckpt_session.capture_at_end()
-
         result = RunResult(
-            backend=label,
+            backend=spec.backend,
             graph_name=self.graph.name,
             outputs=self._sink_containers,
             wall_time=stats.wall_time,
@@ -509,9 +457,6 @@ class RuntimeContext:
             stall_diagnosis=diagnosis,
             failure=failure,
             deadlock=deadlock_report,
-            checkpoint=ckpt_session.info()
-            if ckpt_session is not None else None,
-            warnings=watchdog.warnings() if watchdog is not None else [],
             raw=stats,
         )
         if spec.strict and deadlocked:

@@ -162,6 +162,12 @@ class CooperativeScheduler:
         self._current: Optional[Task] = None
         self._started = False
 
+    def running(self) -> str:
+        """The task being stepped, ``''`` between steps (published in
+        profile mode only): what a stack sample is attributed to."""
+        task = self._current
+        return "" if task is None else task.name
+
     # -- task management -----------------------------------------------------------
 
     def spawn(self, name: str, coro, kind: str = "kernel") -> Task:

@@ -80,6 +80,76 @@ def _new_run_id() -> str:
     return "r-" + uuid.uuid4().hex[:12]
 
 
+class RunLifecycle:
+    """The watchdog, the stack sampler and the checkpoint captures of
+    one run, which :meth:`ExecutionBackend.run` keeps for every engine.
+
+    The engine calls :meth:`live` once its probes can be read (cgsim-mp
+    after forking, so no monitor thread crosses a fork): an object with
+    ``progress()`` (cheap, read from the watchdog thread),
+    ``blockage()`` and ``checkpoint_state()``, plus ``sample_label()``
+    where the scheduler runs on the calling thread.  Interval and
+    explicit captures need the scheduler's quiescent points, so an
+    engine that has them installs ``session.make_step_hook`` itself.
+    """
+
+    def __init__(self, spec: RunSpec, graph: Any) -> None:
+        self.spec, self.graph = spec, graph
+        self.session = self.probes = None
+        if spec.checkpoint is not None:
+            from ..checkpoint.capture import CheckpointSession
+
+            self.session = CheckpointSession(
+                spec.checkpoint, graph, spec.backend, spec.run_id,
+                lambda: self.probes.checkpoint_state(), spec.observe)
+
+    def live(self, probes: Any) -> None:
+        """Start the monitors over *probes*."""
+        spec, self.probes = self.spec, probes
+        if spec.watchdog is not None:
+            spec.watchdog.start(progress_fn=probes.progress,
+                                blockage_fn=probes.blockage,
+                                tracer=spec.observe, scope=self.graph.name)
+        label = getattr(probes, "sample_label", None)
+        if spec.profiler is not None and label is not None:
+            spec.profiler.start(label)
+
+    def stop(self) -> None:
+        """Stop the monitors (idempotent)."""
+        for monitor in (self.spec.profiler, self.spec.watchdog):
+            if monitor is not None:
+                monitor.stop()
+
+    def settle(self, report: Any, exc: Optional[BaseException] = None
+               ) -> None:
+        """Capture from how the run ended: ``final`` after a completed
+        run, ``on_fault`` after a contained failure, a stall or a raised
+        *exc* (a failed capture never masks it), its path stamped on
+        *exc* and on the failure report.  *report* is the returned
+        result, or what *exc* carries (a failure report, or the stalled
+        run's result under ``strict``); a result gets ``checkpoint``
+        and ``warnings``."""
+        session, path = self.session, ""
+        if session is not None and self.probes is not None:
+            if exc is None and report.completed:
+                session.capture_at_end()
+            else:
+                try:
+                    path = session.capture_on_fault()
+                except Exception:
+                    pass
+        if path and exc is not None:
+            exc.checkpoint_path = path  # type: ignore[attr-defined]
+        if isinstance(report, RunResult):
+            if session is not None:
+                report.checkpoint = session.info()
+            if self.spec.watchdog is not None:
+                report.warnings.extend(self.spec.watchdog.warnings())
+            report = report.failure
+        if path and report is not None:
+            report.checkpoint_path = path
+
+
 class ExecutionBackend(abc.ABC):
     """One execution engine behind the unified entry point.
 
@@ -118,6 +188,12 @@ class ExecutionBackend(abc.ABC):
         ``profile_path`` and ``trace``/``metrics``, and closes a tracer
         the spec's binding built.
 
+        Around the engine it keeps the :class:`RunLifecycle`: the
+        watchdog and the sampler run from the engine's ``live`` signal
+        until it returns or raises, and every checkpoint capture but
+        the in-run ones is decided from how the run ended, before
+        ``run.end``.
+
         ``profile=True`` turns per-kernel timing on where the engine
         honours ``profile`` (the cooperative backends).  Plans are
         single-use: I/O bindings and coroutine/thread state cannot be
@@ -141,15 +217,22 @@ class ExecutionBackend(abc.ABC):
         if tracer is not None:
             tracer.set_context(run_id=rid)
             rid = tracer.run_id or rid
-        if spec.checkpoint is not None and not spec.checkpoint.run_id:
-            spec.checkpoint.run_id = rid
         plan.spec = spec = spec.replace(run_id=rid)
         name = plan.graph.name
         try:
+            watch = RunLifecycle(spec, plan.graph)
             if tracer is not None:
                 tracer.run_begin(name, self.name)
             try:
-                result = self.execute(plan)
+                try:
+                    result = self.execute(plan, watch)
+                finally:
+                    watch.stop()
+            except BaseException as exc:
+                watch.settle(getattr(exc, "report", None), exc)
+                raise
+            else:
+                watch.settle(result)
             finally:
                 if tracer is not None:
                     tracer.run_end(name, self.name)
@@ -182,9 +265,11 @@ class ExecutionBackend(abc.ABC):
                 tracer.close()
 
     @abc.abstractmethod
-    def execute(self, plan: ExecutionPlan) -> RunResult:
+    def execute(self, plan: ExecutionPlan,
+                watch: RunLifecycle) -> RunResult:
         """The engine itself: run *plan* (already claimed) with the
-        options of ``plan.spec`` and return its :class:`RunResult`."""
+        options of ``plan.spec`` and return its :class:`RunResult`,
+        calling ``watch.live(probes)`` once its probes can be read."""
 
 
 _REGISTRY: Dict[str, Type[ExecutionBackend]] = {}

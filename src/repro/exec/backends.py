@@ -14,6 +14,7 @@ from typing import Any, Tuple
 from .api import (
     ExecutionBackend,
     ExecutionPlan,
+    RunLifecycle,
     RunResult,
     register_backend,
     resolve_graph,
@@ -49,9 +50,10 @@ class CgsimBackend(ExecutionBackend):
         return ExecutionPlan(backend=self.name, graph=g, io=io,
                              state=rt, spec=spec)
 
-    def execute(self, plan: ExecutionPlan) -> RunResult:
+    def execute(self, plan: ExecutionPlan,
+                watch: RunLifecycle) -> RunResult:
         plan.state.spec = plan.spec   # run(profile=True) may replace it
-        return plan.state.run()
+        return plan.state.run(watch)
 
 
 @register_backend
@@ -95,7 +97,8 @@ class X86simBackend(ExecutionBackend):
         return ExecutionPlan(backend=self.name, graph=g, io=io,
                              state=prepare_threads(g, io, spec), spec=spec)
 
-    def execute(self, plan: ExecutionPlan) -> RunResult:
+    def execute(self, plan: ExecutionPlan,
+                watch: RunLifecycle) -> RunResult:
         from ..x86sim.runner import execute_plan
 
         return execute_plan(plan.state)

@@ -44,6 +44,7 @@ __all__ = [
     "register_fused_equivalent",
     "clear_fused_equivalents",
     "fusion_registry_epoch",
+    "member_instances",
 ]
 
 #: Valid values for the ``optimize=`` run option.
@@ -287,6 +288,12 @@ def _substitute(graph: ComputeGraph, by_index, seq: List[int]
     return members, absorbed
 
 
+def member_instances(task: str) -> Tuple[str, ...]:
+    """The instances a task stands for: a substituted chain member is
+    named by joining them with ``+`` (below); any other task, itself."""
+    return tuple(task.split("+"))
+
+
 def _build_substituted_member(graph: ComputeGraph,
                               insts: List[KernelInstance], repl):
     """Try to stand *repl* in for the instance run *insts*.
@@ -344,7 +351,7 @@ def _build_substituted_member(graph: ComputeGraph,
 
     names = tuple(inst.instance_name for inst in insts)
     member = ChainMember(
-        name="+".join(names) if len(names) > 1 else names[0],
+        name="+".join(names),
         kernel=repl,
         port_nets=tuple(port_nets),
         fused_from=names,

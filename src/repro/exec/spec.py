@@ -173,9 +173,6 @@ OPTIONS: Dict[str, Option] = {
     "workers": Option(
         _positive_int("workers"), "worker processes",
         {"cgsim-mp": honour(2)}, wire=True),
-    "stall_timeout": Option(
-        _seconds("stall_timeout"), "cross-worker stall backstop, seconds",
-        {"cgsim-mp": honour(30.0)}),
     "ring_capacity": Option(
         _positive_int("ring_capacity"), "items per inter-worker ring",
         {"cgsim-mp": honour(DEFAULT_RING_CAPACITY)}),

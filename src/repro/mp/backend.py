@@ -18,6 +18,7 @@ from typing import Any, Tuple
 from ..exec.api import (
     ExecutionBackend,
     ExecutionPlan,
+    RunLifecycle,
     RunResult,
     register_backend,
     resolve_graph,
@@ -33,8 +34,8 @@ class CgsimMpBackend(ExecutionBackend):
     """Sharded multi-process cooperative runtime.
 
     Its run options are the ``cgsim-mp`` column of
-    :mod:`repro.exec.spec`; ``checkpoint`` capture is manager-side (see
-    :func:`repro.mp.manager.run_sharded`, which returns the result).
+    :mod:`repro.exec.spec`; :func:`repro.mp.manager.run_sharded` runs
+    the farm and returns the result.
     """
 
     name = "cgsim-mp"
@@ -48,5 +49,6 @@ class CgsimMpBackend(ExecutionBackend):
         check_io(g, io)
         return ExecutionPlan(backend=self.name, graph=g, io=io, spec=spec)
 
-    def execute(self, plan: ExecutionPlan) -> RunResult:
-        return run_sharded(plan.graph, plan.io, plan.spec)
+    def execute(self, plan: ExecutionPlan,
+                watch: RunLifecycle) -> RunResult:
+        return run_sharded(plan.graph, plan.io, plan.spec, watch)

@@ -16,9 +16,12 @@
    (:func:`~repro.mp.worker.worker_main`), each handed an anonymous
    in-memory file (``os.memfd_create``, created before the fork) for
    its packed sink runs and a pipe for everything else;
-4. **monitor** — poll pipes and exit codes; a worker that dies without
-   reporting (``os._exit``, a segfault, the OOM killer) triggers
-   containment: the remaining farm is torn down and the run returns a
+4. **monitor** — the farm's probes go live on the run core's
+   :class:`~repro.exec.api.RunLifecycle` (so its watchdog thread starts
+   only after the last fork), then poll pipes and exit codes; a worker
+   that dies without reporting (``os._exit``, a segfault, the OOM
+   killer) triggers containment: the remaining farm is torn down and
+   the run returns a
    :class:`~repro.faults.FailureReport` whose cancelled cone names
    every kernel instance downstream of the lost shard.  The report is
    built by :func:`repro.faults.cone.failure_report`, the same rules
@@ -58,6 +61,7 @@ from .shm_ring import ShmRing
 from .worker import WorkerSpec, worker_main
 
 if TYPE_CHECKING:
+    from ..exec.api import RunLifecycle
     from ..exec.spec import RunSpec
 
 __all__ = ["ShardRun", "WorkerCrashError", "RemoteKernelError",
@@ -102,109 +106,105 @@ class ShardRun(NamedTuple):
     worker_walls: Dict[int, float]      # worker id -> its own wall time
 
 
-def _merge_outputs(graph, placement: Placement, io, results,
-                   on_error: str) -> Tuple[int, Dict[int, int]]:
-    """Copy worker sink payloads / RTP values into the caller's
-    containers (already vetted by ``check_io`` before the fork);
-    returns total items delivered plus the per-sink delivered counts
-    ``{io_index: n}`` (the checkpoint layer's input).  A packed run
-    goes to ``store_many`` whole: a list sink extends with it, a sink
-    array takes it in one slice write or element by element, raising
-    where cgsim's sink store raises.  Under ``on_error="fail"`` a
-    store error is raised as cgsim raises it."""
-    n_in = len(graph.inputs)
-    items_out = 0
-    counts: Dict[int, int] = {}
-    for gio in graph.outputs:
-        container = io[n_in + gio.io_index]
-        net = graph.net(gio.net_id)
-        if net.settings.runtime_parameter:
+class _Farm:
+    """The probes of a cgsim-mp run: ring header counters and worker
+    reports for the watchdog (a few ints per poll, no per-event hooks),
+    the merged sinks for a checkpoint."""
+
+    def __init__(self, graph, io, rings: Dict[Tuple[int, int, int], ShmRing],
+                 results: Dict[int, Dict[str, Any]], n_workers: int):
+        self.graph = graph
+        self.io = io
+        self.rings = list(rings.values())
+        self.results = results
+        self.n_workers = n_workers
+        # Filled by the merge: items the workers read from the sources,
+        # items stored, and the per-sink delivered counts {io_index: n}.
+        self.items_in = 0
+        self.items_out = 0
+        self.counts: Dict[int, int] = {}
+
+    def progress(self) -> int:
+        n = len(self.results)
+        for r in self.rings:
+            n += r.total_puts + r.total_gets
+        return n
+
+    def blockage(self) -> str:
+        lines = [f"{len(self.results)}/{self.n_workers} worker(s) reported"]
+        for r in self.rings:
+            lines.append(f"  ring {r.name}: fill {r.size_for(0)}"
+                         f"/{r.capacity}{' EOF' if r.eof else ''}")
+        return "\n".join(lines)
+
+    def merge(self, placement: Placement, on_error: str) -> None:
+        """Copy worker sink payloads / RTP values into the caller's
+        containers (already vetted by ``check_io`` before the fork).
+        A packed run goes to ``store_many`` whole: a list sink extends
+        with it, a sink array takes it in one slice write or element
+        by element, raising where cgsim's sink store raises.  Under
+        ``on_error="fail"`` a store error is raised as cgsim raises
+        it."""
+        graph, io, results = self.graph, self.io, self.results
+        n_in = len(graph.inputs)
+        self.items_in = sum(m.get("items_in", 0) for m in results.values())
+        for gio in graph.outputs:
+            container = io[n_in + gio.io_index]
+            net = graph.net(gio.net_id)
             home = placement.sink_home(gio.io_index)
             msg = results.get(home)
-            # A worker that failed before running ("error") sent none.
-            value = msg.get("rtp", {}).get(gio.io_index) if msg else None
-            if value is None and not net.producers:
-                # Pure input→output RTP passthrough: echo the input.
-                for gin in graph.inputs:
-                    if gin.net_id == gio.net_id:
-                        src = io[gin.io_index]
-                        value = src.value if isinstance(src, RuntimeParam) \
-                            else src
-            container.value = value
-            counts[gio.io_index] = 0 if value is None else 1
-            continue
-        home = placement.sink_home(gio.io_index)
-        msg = results.get(home)
-        payload = msg.get("sinks", {}).get(gio.io_index, []) if msg else []
-        _store, store_many, _cursor = sink_store(net.dtype, container)
-        try:
-            store_many(payload)
-        except Exception as exc:
-            if on_error != "fail":
-                raise
-            # cgsim's sink task raises this store's error through its
-            # scheduler: the same class and message here.
-            raise GraphRuntimeError(
-                f"task 'sink[{gio.io_index}]' raised "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        counts[gio.io_index] = len(payload)
-        items_out += len(payload)
-    return items_out, counts
+            if net.settings.runtime_parameter:
+                # A worker that failed before running ("error") sent none.
+                value = msg.get("rtp", {}).get(gio.io_index) if msg \
+                    else None
+                if value is None and not net.producers:
+                    # Pure input→output RTP passthrough: echo the input.
+                    for gin in graph.inputs:
+                        if gin.net_id == gio.net_id:
+                            src = io[gin.io_index]
+                            value = src.value \
+                                if isinstance(src, RuntimeParam) else src
+                container.value = value
+                self.counts[gio.io_index] = 0 if value is None else 1
+                continue
+            payload = msg.get("sinks", {}).get(gio.io_index, []) \
+                if msg else []
+            _store, store_many, _cursor = sink_store(net.dtype, container)
+            try:
+                store_many(payload)
+            except Exception as exc:
+                if on_error != "fail":
+                    raise
+                # cgsim's sink task raises this store's error through
+                # its scheduler: the same class and message here.
+                raise GraphRuntimeError(
+                    f"task 'sink[{gio.io_index}]' raised "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            self.counts[gio.io_index] = len(payload)
+            self.items_out += len(payload)
 
+    def checkpoint_state(self) -> Dict[str, Any]:
+        """The merged surviving state: each caller container holds
+        exactly the delivered FIFO prefix.  The manager has no global
+        scheduler step, so ``step`` is -1; fault plans are rejected on
+        cgsim-mp, so no fault position is recorded."""
+        from ..checkpoint.format import snapshot_rtp, snapshot_sink
 
-def _capture_mp_checkpoint(graph, io, policy, reason: str, *,
-                           items_in: int, items_out: int,
-                           counts: Dict[int, int], tracer=None) -> str:
-    """Manager-side checkpoint of the merged surviving state.
-
-    Taken after worker sink payloads were merged into the caller's
-    containers — each container then holds exactly the delivered FIFO
-    prefix, which is what the logical checkpoint records.  The manager
-    has no global scheduler step, so ``step`` is -1; fault plans are
-    not supported on cgsim-mp, so the fault position is empty.  The
-    file is named by ``policy.run_id``, as on cgsim (the run's id when
-    the policy names none).
-    """
-    from ..checkpoint.format import (
-        Checkpoint,
-        default_checkpoint_name,
-        fresh_timestamp,
-        graph_digest,
-        snapshot_rtp,
-        snapshot_sink,
-    )
-
-    n_in = len(graph.inputs)
-    sinks = []
-    for gio in graph.outputs:
-        container = io[n_in + gio.io_index]
-        if graph.net(gio.net_id).settings.runtime_parameter:
-            sinks.append(snapshot_rtp(gio.io_index, container.value))
-        else:
-            sinks.append(snapshot_sink(
-                gio.io_index, container, counts.get(gio.io_index, 0),
-                graph.net(gio.net_id).dtype,
-            ))
-    ckpt = Checkpoint(
-        graph_name=graph.name,
-        graph_digest=graph_digest(graph),
-        backend="cgsim-mp",
-        run_id=policy.run_id,
-        reason=reason,
-        step=-1,
-        items_in=items_in,
-        items_out=items_out,
-        sinks=sinks,
-        options=policy.options,
-        wall_ts=fresh_timestamp(),
-    )
-    path = os.path.join(
-        policy.dir, default_checkpoint_name(policy.run_id, 0))
-    ckpt.save(path)
-    if tracer is not None:
-        tracer.checkpoint_capture(path=path, reason=reason, step=-1)
-    return path
+        graph = self.graph
+        n_in = len(graph.inputs)
+        sinks = []
+        for gio in graph.outputs:
+            container = self.io[n_in + gio.io_index]
+            net = graph.net(gio.net_id)
+            if net.settings.runtime_parameter:
+                sinks.append(snapshot_rtp(gio.io_index, container.value))
+            else:
+                sinks.append(snapshot_sink(
+                    gio.io_index, container,
+                    self.counts.get(gio.io_index, 0), net.dtype))
+        return {"sinks": sinks, "items_in": self.items_in,
+                "items_out": self.items_out, "step": -1}
 
 
 def _merge_events(tracer, results) -> None:
@@ -287,7 +287,8 @@ def _release_downstream(rings: Dict[Tuple[int, int, int], ShmRing],
                 pass
 
 
-def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
+def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec",
+                watch: "RunLifecycle") -> RunResult:
     """Execute *graph* sharded across ``spec.workers`` OS processes.
 
     ``io`` is the usual positional tuple (sources then sinks, §3.7);
@@ -299,26 +300,26 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
 
     ``spec.run_id`` (set by :meth:`~repro.exec.ExecutionBackend.run`)
     is the cross-process correlation id every worker stamps on its
-    events.  The ``watchdog`` polls the shared-memory ring header
-    counters plus worker-report arrivals, so a wedged farm surfaces a
-    ``health.stall`` event instead of silence.  A stack sampler in ``profile`` runs in
-    every worker at its interval (merged report on ``result.profile``).
+    events.  A stack sampler in ``profile`` runs in every worker at its
+    interval (merged report on ``result.profile``).
 
-    ``checkpoint`` enables manager-side capture of the merged surviving
-    state: on worker death, on a contained remote failure, on a farm
-    stall, and (``at_end=True``) after a clean run.  Interval and
-    explicit triggers are a single-scheduler concept and are ignored
-    here — the run state lives inside forked workers with no shared
-    quiescent point.  The checkpoint path rides on
-    ``FailureReport.checkpoint_path``, the raised exception's
-    ``checkpoint_path`` attribute, and ``result.checkpoint``, so
-    ``run_graph``'s retry-resume loop re-places the lost shard's work
-    onto fresh processes and completes from the recorded prefix.
+    *watch* is the run core's :class:`~repro.exec.api.RunLifecycle`;
+    once every worker has forked, the farm's probes go live on it, so
+    the ``watchdog`` polls the shared-memory ring header counters plus
+    worker-report arrivals (a wedged farm surfaces a ``health.stall``
+    event instead of silence), and a ``checkpoint`` records the merged
+    surviving state the run core captures: on a worker loss, a remote
+    failure or a farm stall, and (``at_end=True``) after a clean run.
+    Interval and explicit triggers need one scheduler's quiescent
+    points and do not fire here — the run state lives inside forked
+    workers.  ``run_graph``'s retry-resume loop then re-places the lost
+    shard's work onto fresh processes and completes from the recorded
+    prefix.
     """
     check_io(graph, io)
     placement = place_graph(graph, spec.workers)
     n_workers = placement.n_workers
-    tracer, checkpoint, dog = spec.observe, spec.checkpoint, spec.watchdog
+    tracer = spec.observe
     t0 = perf_counter()
 
     rings: Dict[Tuple[int, int, int], ShmRing] = {}
@@ -357,30 +358,8 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
             procs.append(p)
             conns.append(parent_conn)
 
-        if dog is not None:
-            # Worker liveness from the manager side: the shared-memory
-            # ring header counters advance whenever any worker moves
-            # data, and results arriving count as progress too.  Reads
-            # a few ints per poll — no per-event hooks anywhere.
-            ring_list = list(rings.values())
-
-            def _mp_progress():
-                n = len(results)
-                for r in ring_list:
-                    n += r.total_puts + r.total_gets
-                return n
-
-            def _mp_blockage() -> str:
-                lines = [f"{len(results)}/{n_workers} worker(s) reported"]
-                for r in ring_list:
-                    lines.append(
-                        f"  ring {r.name}: fill {r.size_for(0)}"
-                        f"/{r.capacity}{' EOF' if r.eof else ''}"
-                    )
-                return "\n".join(lines)
-
-            dog.start(progress_fn=_mp_progress, blockage_fn=_mp_blockage,
-                      tracer=tracer, scope=graph.name)
+        farm = _Farm(graph, io, rings, results, n_workers)
+        watch.live(farm)
 
         pending = set(range(n_workers))
         deadline: Optional[float] = None
@@ -445,47 +424,13 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
         wall = perf_counter() - t0
         # Merge whatever arrived even after a failure: surviving
         # workers' sinks hold a valid prefix (isolate semantics).
-        items_out, sink_counts = _merge_outputs(graph, placement, io,
-                                                results, spec.on_error)
+        farm.merge(placement, spec.on_error)
         _merge_events(tracer, results)
         profile_report = _merge_profiles(results)
-
-        ckpt_info = None
-        if checkpoint is not None:
-            reason = ""
-            if failure_report is not None:
-                if checkpoint.on_fault:
-                    reason = "worker_death" \
-                        if isinstance(failure_exc, WorkerCrashError) \
-                        else "on_fault"
-            elif stall_lines:
-                reason = "on_fault" if checkpoint.on_fault else ""
-            elif checkpoint.at_end and len(results) == n_workers:
-                reason = "final"
-            if reason:
-                try:
-                    path = _capture_mp_checkpoint(
-                        graph, io, checkpoint, reason,
-                        items_in=sum(m.get("items_in", 0)
-                                     for m in results.values()),
-                        items_out=items_out, counts=sink_counts,
-                        tracer=tracer,
-                    )
-                except Exception:
-                    # A failed capture must never mask the run outcome.
-                    path = ""
-                if path:
-                    from ..checkpoint.format import CheckpointInfo
-                    ckpt_info = CheckpointInfo(
-                        last=path, reason=reason, count=1, paths=[path])
-                    if failure_report is not None:
-                        failure_report.checkpoint_path = path
 
         if failure_report is not None and spec.on_error == "fail":
             assert failure_exc is not None
             failure_exc.report = failure_report  # type: ignore[union-attr]
-            if ckpt_info is not None:
-                failure_exc.checkpoint_path = ckpt_info.last  # type: ignore[union-attr]
             raise failure_exc
 
         task_states: Dict[str, str] = {}
@@ -506,8 +451,8 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
             graph_name=graph.name,
             outputs=list(io[len(graph.inputs):]),
             wall_time=wall,
-            items_in=sum(m.get("items_in", 0) for m in results.values()),
-            items_out=items_out,
+            items_in=farm.items_in,
+            items_out=farm.items_out,
             completed=not deadlocked and failure_report is None
             and len(results) == n_workers,
             context_switches=sum(
@@ -524,8 +469,6 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
             stall_diagnosis="\n".join(stall_lines),
             failure=failure_report,
             profile=profile_report,
-            checkpoint=ckpt_info,
-            warnings=dog.warnings() if dog is not None else [],
             raw=ShardRun(placement, worker_walls),
         )
     except BaseException as exc:
@@ -542,8 +485,6 @@ def run_sharded(graph, io: Tuple[Any, ...], spec: "RunSpec") -> RunResult:
             exc = exc.__cause__ or exc.__context__
         raise
     finally:
-        if dog is not None:
-            dog.stop()
         for p in procs:
             if p.exitcode is None:
                 p.terminate()

@@ -66,6 +66,10 @@ __all__ = ["WorkerSpec", "ShardRuntime", "worker_main", "PUMP_BATCH"]
 PUMP_BATCH = 256
 #: Sleep between polls when blocked on another worker's progress.
 _POLL_SLEEP = 0.0005
+#: Seconds a worker waits on its peers without any progress before it
+#: reports a stall (the cross-worker backstop: a worker cannot tell a
+#: slow peer from a cycle through other workers).
+_STALL_BACKSTOP_S = 30.0
 
 
 @dataclass
@@ -336,7 +340,7 @@ class ShardRuntime:
         if not sources_done:
             # A source parked on a full queue with nothing else movable
             # is either back-pressured by a remote consumer (running) or
-            # part of a local cycle; the stall timeout arbitrates.
+            # part of a local cycle; the stall backstop arbitrates.
             return "running"
         if not all(imp.idle for imp in self.imports):
             return "running"   # upstream may still deliver (or EOF)
@@ -378,7 +382,6 @@ class ShardRuntime:
 
     def run(self) -> Dict[str, Any]:
         spec = self.spec
-        stall_timeout = spec.run.stall_timeout
         t0 = perf_counter()
         # A sampler (a truthy profile) attributes via sched._current,
         # which the scheduler only publishes in measure mode.
@@ -398,10 +401,10 @@ class ShardRuntime:
 
         profiler = None
         if spec.run.profiler is not None:
-            from ..observe.profile import SamplingProfiler, scheduler_label_fn
+            from ..observe.profile import SamplingProfiler
 
             profiler = SamplingProfiler(interval=spec.run.profiler.interval)
-            profiler.start(scheduler_label_fn(sched))
+            profiler.start(sched.running)
 
         total_switches = 0
         last_stats = None
@@ -424,10 +427,10 @@ class ShardRuntime:
                 if status == "stalled":
                     stall = self._stall_diagnosis(sched)
                     break
-                if perf_counter() - last_progress > stall_timeout:
+                if perf_counter() - last_progress > _STALL_BACKSTOP_S:
                     stall = (
                         f"worker[{self.wid}] made no progress for "
-                        f"{stall_timeout:.1f}s (waiting on peers):\n"
+                        f"{_STALL_BACKSTOP_S:.1f}s (waiting on peers):\n"
                         + self._stall_diagnosis(sched)
                     )
                     break

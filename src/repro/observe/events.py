@@ -361,8 +361,9 @@ class Tracer:
                            step: int = -1) -> None:
         """A run checkpoint was written (repro.checkpoint): *path* is
         the file, *reason* the trigger (interval/explicit/on_fault/
-        final/worker_death), *step* the scheduler context-switch count
-        at the quiescent capture point."""
+        final), *step* the scheduler context-switch count at the
+        quiescent capture point (-1 on cgsim-mp, which has no global
+        step)."""
         self.emit(CHECKPOINT_CAPTURE, meta={
             "path": path, "reason": reason, "step": step,
         })

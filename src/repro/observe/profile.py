@@ -45,7 +45,6 @@ __all__ = [
     "SamplingProfiler",
     "coerce_profile",
     "flamegraph_name",
-    "scheduler_label_fn",
 ]
 
 #: Default sampling period: 2ms keeps sampler overhead well under a
@@ -164,14 +163,6 @@ class ProfileReport:
                 f"{self.interval_s * 1e3:.3g}ms over "
                 f"{self.duration_s:.3f}s>")
 
-
-def scheduler_label_fn(sched) -> Callable[[], str]:
-    """Attribution closure over a running cooperative scheduler: the
-    current task's name."""
-    def label() -> str:
-        task = getattr(sched, "_current", None)
-        return "" if task is None else task.name
-    return label
 
 
 class SamplingProfiler:

@@ -10,7 +10,7 @@ bit-identical sinks and the same failing kernel (:func:`replay_run`).
 import numpy as np
 import pytest
 
-from repro.apps import bilinear, datasets, iir
+from repro.apps import bilinear, datasets, farrow, iir
 from repro.checkpoint import plan_from_events, reconstruct_failure, replay_run
 from repro.exec import resolve_graph, run_graph
 from repro.faults import FaultPlan, KernelFault
@@ -59,6 +59,25 @@ class TestReconstruct:
         rebuilt = reconstruct_failure(read_jsonl(path), merge_graph)
         assert live.cancelled == ()
         assert rebuilt.cancelled == live.cancelled
+        assert rebuilt.sink_status == live.sink_status == {
+            "sink[0]": "partial"}
+
+    def test_substituted_chain_member_seeds_its_instances(self):
+        """A fused farrow run fails under the substituted member's
+        joined task name; the rebuilt cone starts from the instances
+        that member stands for, as the live one does."""
+        blocks, mu = datasets.farrow_blocks(2)
+        result = run_graph(
+            farrow.FARROW_GRAPH, blocks, int(mu), [], backend="cgsim",
+            optimize="fuse", on_error="isolate", observe=True,
+            faults=KernelFault("farrow_stage1_0", at_resume=0),
+        )
+        live = result.failure
+        assert live.failing_task == "farrow_stage1_0+farrow_stage2_0"
+        rebuilt = reconstruct_failure(result.trace.events,
+                                      farrow.FARROW_GRAPH)
+        assert rebuilt.failing_task == live.failing_task
+        assert rebuilt.cancelled == live.cancelled == ("sink[0]",)
         assert rebuilt.sink_status == live.sink_status == {
             "sink[0]": "partial"}
 

@@ -40,7 +40,6 @@ PINNED = {
     "timeout": "--h-",
     "transport": "hh--",
     "workers": "---h",
-    "stall_timeout": "---h",
     "ring_capacity": "---h",
     "ring_bytes": "---h",
     "on_error": "hhhh",
@@ -60,7 +59,7 @@ def _legal(name, tmp_path):
         "optimize": "fuse", "capacity": 8, "validate": True,
         "batch_io": 4, "max_steps": 100_000, "strict": True,
         "timeout": 30.0, "transport": "ring", "workers": 1,
-        "stall_timeout": 30.0, "ring_capacity": 64, "ring_bytes": 1 << 16,
+        "ring_capacity": 64, "ring_bytes": 1 << 16,
         "on_error": "isolate", "faults": FaultPlan(()), "observe": True,
         "watchdog": 30.0, "checkpoint": str(tmp_path), "profile": "sample",
         "retry": 2, "run_id": "r-table",
@@ -126,6 +125,16 @@ def test_cooperative_engines_refuse_unknown_options_at_prepare(
                        match=rf"{backend} backend got unknown options: "
                              rf"\['{name}'\]"):
         run_graph(fig4_graph, DATA, [], backend=backend, **{name: 5})
+
+
+def test_sharded_engine_refuses_stall_timeout(fig4_graph):
+    """The cross-worker stall backstop is a worker constant, not an
+    option: the watchdog is the one no-progress bound callers set."""
+    with pytest.raises(GraphRuntimeError,
+                       match=r"cgsim-mp backend got unknown options: "
+                             r"\['stall_timeout'\]"):
+        run_graph(fig4_graph, DATA, [], backend="cgsim-mp",
+                  stall_timeout=5.0)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -4,6 +4,8 @@ worker, re-raises a remote failure, stalls or fails to store a sink —
 without waiting for the cyclic garbage collector — and a forked process
 that makes sharded calls and leaves with ``os._exit`` (the way
 ``perfbench`` samples set-up time) leaves no process of its own alive.
+Nor does it fork with a monitor thread alive: the run core starts the
+watchdog only once the farm has forked.
 """
 
 import json
@@ -11,6 +13,7 @@ import multiprocessing
 import os
 import select
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -229,3 +232,35 @@ def test_forked_caller_leaves_no_process_behind():
     assert "error" not in msg, msg.get("error")
     assert os.waitstatus_to_exitcode(status) == 0
     assert [c for c in msg["children"] if _alive(c)] == []
+
+
+#: Thread names alive at each fork, while a test records them.
+_FORKS = None
+
+
+def _record_fork():
+    if _FORKS is not None:
+        _FORKS.append(sorted(t.name for t in threading.enumerate()))
+
+
+os.register_at_fork(before=_record_fork)
+
+
+def test_no_monitor_thread_crosses_a_fork():
+    """A watched, sampled farm forks from a process whose only thread
+    is the caller's: the watchdog starts after the fork and the workers
+    start their own samplers."""
+    global _FORKS
+    for t in threading.enumerate():
+        if t.name == "repro-watchdog":
+            t.join(timeout=5.0)   # an earlier run's poller retiring
+    _FORKS = []
+    try:
+        sinks = [[] for _ in range(4)]
+        result = run_graph(BITONIC_FARM4, *bitonic_farm_io(2), *sinks,
+                           backend="cgsim-mp", workers=2, watchdog=30.0,
+                           profile="sample")
+    finally:
+        forks, _FORKS = _FORKS, None
+    assert result.completed and result.profile is not None
+    assert forks == [["MainThread"], ["MainThread"]]
