@@ -150,9 +150,7 @@ async def farrow_fused(
     mu_q15 = int(await mu.get())
     while True:
         blks = await x_in.get_batch(_FUSED_IO_BATCH, exact=False)
-        samples = np.concatenate(
-            [np.asarray(b, dtype=np.complex128) for b in blks]
-        )
+        samples = np.asarray(blks, dtype=np.complex128).reshape(-1)
         xh = np.concatenate([hist, samples])
         hist = samples[-3:].copy()
         n = samples.shape[0]
@@ -168,7 +166,7 @@ async def farrow_fused(
             acc = np.clip(_q15_round(acc), -(1 << 15), (1 << 15) - 1)
             outs.append(acc.astype(np.int16).astype(np.float64))
         y = outs[0] + 1j * outs[1]
-        await y_out.put_batch(list(y.reshape(len(blks), FARROW_BLOCK)))
+        await y_out.put_batch(y.reshape(-1, FARROW_BLOCK))
 
 
 @extract_compute_graph

@@ -146,9 +146,7 @@ def golden_farrow(x: np.ndarray, mu_q15: int) -> np.ndarray:
 def _q15_round(v: np.ndarray) -> np.ndarray:
     """Q15 product renormalisation with round-half-away-from-zero."""
     v = np.asarray(v, dtype=np.int64)
-    half = np.int64(1 << 14)
-    adj = np.where(v >= 0, half, half - 1)
-    return (v + adj) >> 15
+    return (v + ((1 << 14) - (v < 0))) >> 15
 
 
 def _srs15_sat(v: np.ndarray) -> np.ndarray:

@@ -34,12 +34,13 @@ class CheckpointSession:
     :class:`~repro.checkpoint.format.SinkSnapshot`), ``sources``,
     ``items_in``, ``items_out``, ``queue_fills``, ``fired_faults``, and
     ``step`` where the engine has no scheduler step hook (cgsim-mp
-    records -1).
+    records -1).  ``seq`` numbers the first capture: a run resumed from
+    a checkpoint continues after that checkpoint's number.
     """
 
     def __init__(self, policy: CheckpointPolicy, graph: Any, backend: str,
                  run_id: str, state_fn: Callable[[], Dict[str, Any]],
-                 tracer: Any = None) -> None:
+                 tracer: Any = None, seq: int = 0) -> None:
         self.policy = policy
         self.graph_name = graph.name
         self.graph_digest = graph_digest(graph)
@@ -51,7 +52,7 @@ class CheckpointSession:
         self.paths: List[str] = []
         self.last_path: str = ""
         self.last_reason: str = ""
-        self.seq = 0
+        self.seq = self._first_seq = seq
         self._last_step = 0
         self._last_items = 0
         self._cur_step = 0
@@ -159,6 +160,6 @@ class CheckpointSession:
         return CheckpointInfo(
             last=self.last_path,
             reason=self.last_reason,
-            count=self.seq,
+            count=self.seq - self._first_seq,
             paths=list(self.paths),
         )

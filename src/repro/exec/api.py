@@ -67,6 +67,10 @@ class ExecutionPlan:
     io: Tuple[Any, ...]         # positional sources + sinks as passed
     state: Any = None
     spec: Optional[RunSpec] = None   # the bound run options
+    #: Sequence number of the run's first checkpoint; a run resumed
+    #: from a checkpoint continues after it, so a retry that shares the
+    #: run id never overwrites the file it resumed from.
+    checkpoint_seq: int = 0
     _consumed: bool = False
 
 
@@ -91,9 +95,10 @@ class RunLifecycle:
     where the scheduler runs on the calling thread.  Interval and
     explicit captures need the scheduler's quiescent points, so an
     engine that has them installs ``session.make_step_hook`` itself.
+    The run's checkpoints are numbered from *seq*.
     """
 
-    def __init__(self, spec: RunSpec, graph: Any) -> None:
+    def __init__(self, spec: RunSpec, graph: Any, seq: int) -> None:
         self.spec, self.graph = spec, graph
         self.session = self.probes = None
         if spec.checkpoint is not None:
@@ -101,7 +106,8 @@ class RunLifecycle:
 
             self.session = CheckpointSession(
                 spec.checkpoint, graph, spec.backend, spec.run_id,
-                lambda: self.probes.checkpoint_state(), spec.observe)
+                lambda: self.probes.checkpoint_state(), spec.observe,
+                seq=seq)
 
     def live(self, probes: Any) -> None:
         """Start the monitors over *probes*."""
@@ -220,7 +226,7 @@ class ExecutionBackend(abc.ABC):
         plan.spec = spec = spec.replace(run_id=rid)
         name = plan.graph.name
         try:
-            watch = RunLifecycle(spec, plan.graph)
+            watch = RunLifecycle(spec, plan.graph, plan.checkpoint_seq)
             if tracer is not None:
                 tracer.run_begin(name, self.name)
             try:
@@ -413,8 +419,10 @@ def _attempt(b: ExecutionBackend, graph: Any, io: Tuple[Any, ...],
     scratch = rs.make_scratch(sinks)
     if spec.faults is not None:
         spec = spec.replace(faults=rs.filter_faults(spec.faults))
-    result = b.run(b.prepare_spec(
-        graph, tuple(io[:n_inputs]) + tuple(scratch), spec))
+    plan = b.prepare_spec(graph, tuple(io[:n_inputs]) + tuple(scratch),
+                          spec)
+    plan.checkpoint_seq = rs.checkpoint.seq + 1
+    result = b.run(plan)
 
     def splice() -> RunResult:
         rs.splice(sinks, scratch, completed=result.completed)

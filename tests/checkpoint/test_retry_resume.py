@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.apps import datasets, iir
+from repro.checkpoint import Checkpoint
 from repro.errors import GraphRuntimeError
 from repro.exec import run_graph
 from repro.faults import KernelFault, RetryPolicy
@@ -72,6 +73,24 @@ class TestRetryResume:
         assert doc["suppressed_faults"] == ["iir_sos_kernel_0"]
         assert doc["checkpoint"]["count"] >= 1
         assert doc["checkpoint"]["reason"] == "final"
+
+    def test_resumed_attempt_keeps_the_checkpoint_it_resumed_from(
+            self, tmp_path):
+        # Both attempts share one run id; the second continues the
+        # sequence instead of overwriting the on-fault capture.
+        result = run_graph(
+            iir.IIR_GRAPH, _SRC, [], backend="cgsim",
+            checkpoint={"dir": str(tmp_path), "at_end": True,
+                        "on_fault": True},
+            on_error="isolate",
+            faults=_FAULT, retry=RetryPolicy(attempts=2, resume=True),
+        )
+        assert result.completed
+        assert len(list(tmp_path.iterdir())) == 2
+        assert Checkpoint.load(result.resumed_from).reason == "on_fault"
+        assert result.checkpoint.last != result.resumed_from
+        assert result.checkpoint.count == 1
+        assert Checkpoint.load(result.checkpoint.last).seq == 1
 
     def test_explicit_resume_from_plus_retry(self, baseline, tmp_path):
         # Seed run fails and leaves an on-fault checkpoint...
