@@ -17,11 +17,13 @@ import numpy as np
 
 from .fixedpoint import RoundMode, srs_array
 from .tracing import emit
-from .vector import AieVector, _check_lanes
+from .vector import VALID_LANES, AieVector, _lane_error
 
 __all__ = ["Accum", "acc_zeros", "acc_from_vector"]
 
 _ACC_BITS = {"acc48": 48, "acc80": 80, "accfloat": 32}
+_ACC48_LIM = np.int64(1) << 47
+_amax, _amin = np.maximum.reduce, np.minimum.reduce
 
 
 class Accum:
@@ -44,20 +46,20 @@ class Accum:
         return self.kind == "accfloat"
 
     def _check_range(self) -> None:
-        """Guard: int accumulators must stay within their hardware width."""
-        if self.is_float:
+        """Guard: int accumulators must stay within their hardware width.
+
+        Only acc48 can leave it: float accumulators are not checked, and
+        the int64 carrier is narrower than the real 80-bit accumulator,
+        so any value it holds is in range.  Reduces through the ufuncs
+        (``ndarray.max`` adds a Python frame each)."""
+        if self.kind != "acc48":
             return
-        bits = _ACC_BITS[self.kind]
-        if bits >= 64:
-            # The int64 carrier is narrower than the real 80-bit
-            # accumulator, so any representable value is in range.
-            return
-        lim = np.int64(1) << (bits - 1)
         d = self.data
-        if d.size and (d.max() >= lim or d.min() < -lim):
+        if d.size and (_amax(d, None) >= _ACC48_LIM
+                       or _amin(d, None) < -_ACC48_LIM):
             raise OverflowError(
-                f"{self.kind} accumulator overflow (|x| >= 2^{bits - 1}); "
-                f"the real hardware would wrap here"
+                "acc48 accumulator overflow (|x| >= 2^47); "
+                "the real hardware would wrap here"
             )
 
     # -- accumulate ------------------------------------------------------------------
@@ -123,7 +125,8 @@ class Accum:
 
 def acc_zeros(lanes: int, kind: str = "acc48") -> Accum:
     """A cleared accumulator register."""
-    _check_lanes(lanes)
+    if lanes not in VALID_LANES:
+        raise _lane_error(lanes)
     emit("vacc_clr", lanes, 8)
     dt = np.float32 if kind == "accfloat" else np.int64
     return Accum(np.zeros(lanes, dtype=dt), kind)

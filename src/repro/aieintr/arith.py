@@ -7,15 +7,19 @@ return float accumulators; both move back to vectors via
 ``Accum.to_vector``.
 
 Kernels call these per vector step, so each one should cost little
-more than its numpy work: dtype tests read ``dtype.kind``, the integer
-sliding MAC is a single int64 ``np.correlate``, and the float one feeds
-an ``as_strided`` window view to one matmul.
+more than its numpy work: dtype tests read ``dtype.kind``, lane counts
+and widths come from the lane array rather than properties, ``emit``
+runs only while a recorder is active, the integer sliding MAC is a
+single int64 ``np.correlate``, and the float one feeds an
+``as_strided`` window view to one matmul.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
+from . import tracing as _trace
 from .accum import Accum, acc_zeros
 from .tracing import emit
 from .vector import AieVector
@@ -87,16 +91,17 @@ def sliding_mul(coeffs: AieVector, data: np.ndarray, out_lanes: int,
 def sliding_mac(acc, coeffs: AieVector, data: np.ndarray, out_lanes: int,
                 start: int = 0, step: int = 1) -> Accum:
     """Sliding-window multiply-accumulate (``aie::sliding_mac``)."""
-    taps = coeffs.lanes
+    c = coeffs.data
+    taps = c.shape[0]
     d = np.asarray(data)
+    if d.ndim != 1:
+        raise ValueError("sliding window data must be one-dimensional")
     need = start + (out_lanes - 1) * step + taps
     if d.shape[0] < need:
         raise ValueError(
             f"sliding window needs {need} data elements, got {d.shape[0]}"
         )
-    if d.ndim != 1:
-        raise ValueError("sliding window data must be one-dimensional")
-    ckind = coeffs.dtype.kind
+    ckind = c.dtype.kind
     dkind = d.dtype.kind
     if ckind == "c" or dkind == "c":
         raise TypeError(
@@ -108,36 +113,33 @@ def sliding_mac(acc, coeffs: AieVector, data: np.ndarray, out_lanes: int,
     # model divides by the per-cycle MAC throughput of the element width.
     total_macs = out_lanes * taps
     if ckind == "f" or dkind == "f":
-        emit("vfpmac", total_macs, 4)
+        if _trace._active:
+            emit("vfpmac", total_macs, 4)
         # Strided sliding-window view (no copy): row i is the window at
         # start + i*step.  The need check above keeps it in bounds.
         s = d.strides[0]
-        windows = np.lib.stride_tricks.as_strided(
-            d[start:], shape=(out_lanes, taps), strides=(s * step, s),
-            writeable=False,
-        )
-        res = windows @ coeffs.data
-        base = acc.data if acc is not None else 0
-        kind = "accfloat"
-        data_out = (base + res).astype(np.float32)
-    else:
-        emit("vmac", total_macs, coeffs.ebytes)
-        # One int64 correlation over the covered span, then every
-        # step-th output.  int64 sums wrap mod 2^64 in any order, so this
-        # equals the windowed int64 matmul exactly (numpy cannot hand an
-        # integer matmul to BLAS).
-        x = d[start:need].astype(np.int64, copy=False)
-        res = np.correlate(x, coeffs.data.astype(np.int64),
-                           "valid")[:out_lanes * step:step]
+        windows = as_strided(d[start:], shape=(out_lanes, taps),
+                             strides=(s * step, s), writeable=False)
+        res = windows @ c
         if acc is None:
-            kind = "acc80" if coeffs.ebytes >= 4 else "acc48"
-            data_out = res
+            res += 0  # a cleared register: -0.0 sums come out as +0.0
         else:
-            kind = acc.kind
-            data_out = acc.data + res
-    out = Accum(data_out, kind)
-    if not out.is_float:
-        out._check_range()
+            res = acc.data + res
+        return Accum(res.astype(np.float32, copy=False), "accfloat")
+    if _trace._active:
+        emit("vmac", total_macs, c.itemsize)
+    # One int64 correlation over the covered span, then every step-th
+    # output.  int64 sums wrap mod 2^64 in any order, so this equals the
+    # windowed int64 matmul exactly (numpy cannot hand an integer matmul
+    # to BLAS).
+    x = d[start:need].astype(np.int64, copy=False)
+    res = np.correlate(x, c.astype(np.int64, copy=False),
+                       "valid")[:out_lanes * step:step]
+    if acc is None:
+        out = Accum(res, "acc80" if c.itemsize >= 4 else "acc48")
+    else:
+        out = Accum(acc.data + res, acc.kind)
+    out._check_range()
     return out
 
 

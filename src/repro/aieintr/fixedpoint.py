@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from . import tracing as _trace
 from .tracing import emit
 
 __all__ = [
@@ -66,7 +67,7 @@ def round_shift(values: np.ndarray, shift: int,
     Operates in int64; no saturation (that is :func:`saturate`'s job).
     ``shift == 0`` is the identity for all modes.
     """
-    v = np.asarray(values, dtype=np.int64)
+    v = np.asarray(values, np.int64)
     if shift < 0:
         raise ValueError(f"shift must be >= 0, got {shift}")
     if shift == 0:
@@ -77,10 +78,16 @@ def round_shift(values: np.ndarray, shift: int,
     if mode == RoundMode.NEAREST:
         # Round half away from zero (AIE's symmetric rounding rounds
         # magnitudes): add half for non-negative values and half - 1 for
-        # negatives, so that -0.5 rounds to -1.  The adjustment is built
-        # first so the one add touching v wraps silently, as an array
-        # op, even when v is 0-d.
-        return (v + ((v >= 0) + (half - 1))) >> shift
+        # negatives (``v >> 63`` is -1 exactly there), so that -0.5
+        # rounds to -1.  One allocation, then in-place passes; int64
+        # adds wrap in any order.  The adjustment is built first so the
+        # one add touching v wraps silently, as an array op, even when
+        # v is 0-d (the passes then run on numpy scalars).
+        out = v >> 63
+        out += half
+        out += v
+        out >>= shift
+        return out
     if mode == RoundMode.EVEN:
         q = v >> shift
         rem = v - (q << shift)
@@ -98,7 +105,9 @@ def srs_array(acc: np.ndarray, shift: int, dtype=np.int16,
     back to a 16/32-bit vector register.
     """
     a = np.asarray(acc)
-    emit("srs", int(a.shape[-1]) if a.ndim else 1, np.dtype(dtype).itemsize)
+    if _trace._active:
+        emit("srs", int(a.shape[-1]) if a.ndim else 1,
+             np.dtype(dtype).itemsize)
     return saturate(round_shift(a, shift, mode), dtype)
 
 

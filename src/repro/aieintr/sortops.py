@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import tracing as _trace
 from .shuffle import _butterfly_index, reverse
 from .tracing import emit
 from .vector import AieVector
@@ -40,12 +41,14 @@ def bitonic_stage_dirs(lanes: int, stage: int, substage: int) -> np.ndarray:
 def _exchange(data: np.ndarray, idx: np.ndarray,
               keep_min: np.ndarray) -> np.ndarray:
     """One compare-exchange step on raw lanes: shuffle by *idx*, then
-    min where *keep_min*, else max.  Emits vshuffle, vmin, vmax, vsel."""
-    lanes, ebytes = data.shape[0], data.itemsize
-    emit("vshuffle", lanes, ebytes)
-    emit("vmin", lanes, ebytes)
-    emit("vmax", lanes, ebytes)
-    emit("vsel", lanes, ebytes)
+    min where *keep_min*, else max.  Emits vshuffle, vmin, vmax, vsel
+    (only while a recorder is active, as the per-step vector ops do)."""
+    if _trace._active:
+        lanes, ebytes = data.shape[0], data.itemsize
+        emit("vshuffle", lanes, ebytes)
+        emit("vmin", lanes, ebytes)
+        emit("vmax", lanes, ebytes)
+        emit("vsel", lanes, ebytes)
     partner = data[idx]
     out = np.maximum(data, partner)
     np.minimum(data, partner, out=out, where=keep_min)
@@ -86,10 +89,10 @@ def bitonic_sort_vector(v: AieVector, descending: bool = False) -> AieVector:
     (stages 1+2+3+4 compare-exchange steps).  The steps run on raw lane
     arrays; only the sorted lanes are wrapped.
     """
-    lanes = v.lanes
+    data = v.data
+    lanes = data.shape[0]
     if lanes & (lanes - 1):
         raise ValueError("bitonic sort needs a power-of-two lane count")
-    data = v.data
     for idx, keep_min in _bitonic_steps(lanes):
         data = _exchange(data, idx, keep_min)
     v = AieVector(data, _trusted=True)

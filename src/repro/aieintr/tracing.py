@@ -9,7 +9,9 @@ This module provides the recording hook.  Entering and leaving a
 :class:`TraceRecorder` adjusts a process-wide count of active recorders
 under a lock; :func:`emit` returns on its first line when that count is
 zero, before any thread-local lookup.  Functional simulation with no
-recorder anywhere therefore pays one global check per intrinsic.
+recorder anywhere therefore pays one global check per intrinsic; the
+ops a kernel calls per stream element or lane step read ``_active``
+themselves and skip the call to :func:`emit` altogether.
 
 Recording is still per thread: a recorder captures only the emits of
 the thread that entered it, and each thread can have at most one

@@ -10,11 +10,24 @@ bits, i.e. 4..32 lanes depending on element type.
 Every operation emits a micro-op via :mod:`repro.aieintr.tracing` so the
 cycle-approximate simulator can cost it.
 
-The operations run once per lane step of a kernel, so they avoid
-per-call Python set-up: the wrapping arithmetic ops share one
-``np.errstate(over="ignore")`` decorator instead of building a context
-manager each call, results are cast with ``astype(copy=False)``, and
-``push`` gathers through a cached index table.
+Cost rules.  ``push``, lane reads, the wrapping ``+ - *`` (and their
+reflected forms), ``zeros``, ``broadcast`` and ``vec`` run once per
+stream element or lane step of an unfused kernel, so each costs one
+numpy allocation and no Python frame or keyword-parsed C call it can
+avoid:
+
+* a result is wrapped without ``__init__`` (``object.__new__`` plus
+  ``setflags(False)``; the keyword form ``setflags(write=False)``
+  costs three times as much);
+* ``emit`` is called only while some recorder is active
+  (``tracing._active``), so an untraced run pays one global read per
+  op, and dtype sizes are looked up only for the micro-op;
+* each wrapping op is one function under the shared
+  ``np.errstate(over="ignore")`` decorator (its frame and the op's),
+  and casts back to the lane type only when the ufunc promoted;
+* ``push`` gathers through a cached index table, and ``broadcast`` is
+  ``np.full``'s own body (``np.empty`` plus an unsafe ``np.copyto``)
+  without its Python frame.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from typing import Any, Iterable, Sequence, Union
 
 import numpy as np
 
+from . import tracing as _trace
 from .tracing import emit
 
 __all__ = ["AieVector", "vec", "zeros", "broadcast", "iota", "concat",
@@ -33,16 +47,15 @@ VALID_LANES = (2, 4, 8, 16, 32, 64)
 
 _INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
-#: Allocates a vector without running ``__init__``: ``push`` builds and
-#: freezes its lanes itself, once per element of a stream.
+#: Allocates a vector without running ``__init__``: the per-step ops
+#: build and freeze their lanes themselves.
 _new_vector = object.__new__
 
 
-def _check_lanes(lanes: int) -> None:
-    if lanes not in VALID_LANES:
-        raise ValueError(
-            f"AIE vectors support lane counts {VALID_LANES}, got {lanes}"
-        )
+def _lane_error(lanes) -> ValueError:
+    return ValueError(
+        f"AIE vectors support lane counts {VALID_LANES}, got {lanes}"
+    )
 
 
 def _push_table(lanes: int) -> np.ndarray:
@@ -71,6 +84,32 @@ _PUSH_INDEX = _LaneTables((n, _push_table(n)) for n in VALID_LANES)
 _wrap_overflow = np.errstate(over="ignore")
 
 
+def _lanewise(ufunc, name: str, reflected: bool = False):
+    """A wrapping vector-ALU operator: ``ufunc(self, other)`` in the
+    lane type (``ufunc(other, self)`` when *reflected*), read-only,
+    emitting micro-op *name*.  One Python frame under the errstate
+    decorator's."""
+
+    @_wrap_overflow
+    def op(self, other):
+        data = self.data
+        if _trace._active:
+            emit(name, data.shape[0], data.itemsize)
+        if reflected:
+            out = ufunc(other, data)
+        else:
+            out = ufunc(data, other.data if isinstance(other, AieVector)
+                        else other)
+        if out.dtype != data.dtype:
+            out = out.astype(data.dtype)
+        out.setflags(False)
+        res = _new_vector(AieVector)
+        res.data = out
+        return res
+
+    return op
+
+
 class AieVector:
     """An immutable SIMD vector value.
 
@@ -87,9 +126,10 @@ class AieVector:
             data = np.array(data, copy=True)
             if data.ndim != 1:
                 raise ValueError("AieVector must be one-dimensional")
-            _check_lanes(data.shape[0])
+            if data.shape[0] not in VALID_LANES:
+                raise _lane_error(data.shape[0])
         self.data = data
-        data.setflags(write=False)
+        data.setflags(False)
 
     # -- properties ---------------------------------------------------------------
 
@@ -113,7 +153,8 @@ class AieVector:
 
     def __getitem__(self, i: int):
         data = self.data
-        emit("vext_elem", 1, data.itemsize)
+        if _trace._active:
+            emit("vext_elem", 1, data.itemsize)
         return data[i]
 
     def set(self, i: int, value) -> "AieVector":
@@ -149,45 +190,22 @@ class AieVector:
         time from a stream.
         """
         data = self.data
-        emit("vshift_elem", data.shape[0], data.itemsize)
-        out = data[_PUSH_INDEX[data.shape[0]]]
+        lanes = data.shape[0]
+        if _trace._active:
+            emit("vshift_elem", lanes, data.itemsize)
+        out = data[_PUSH_INDEX[lanes]]
         out[0] = value
-        out.setflags(write=False)
+        out.setflags(False)
         res = _new_vector(AieVector)
         res.data = out
         return res
 
     # -- elementwise arithmetic --------------------------------------------------------
 
-    @_wrap_overflow
-    def _binop(self, other, ufunc, name: str) -> "AieVector":
-        data = self.data
-        rhs = other.data if isinstance(other, AieVector) else other
-        emit(name, data.shape[0], data.itemsize)
-        return AieVector(ufunc(data, rhs).astype(data.dtype, copy=False),
-                         _trusted=True)
-
-    def __add__(self, other):
-        return self._binop(other, np.add, "vadd")
-
-    def __radd__(self, other):
-        return self._binop(other, np.add, "vadd")
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract, "vsub")
-
-    @_wrap_overflow
-    def __rsub__(self, other):
-        data = self.data
-        emit("vsub", data.shape[0], data.itemsize)
-        return AieVector((other - data).astype(data.dtype, copy=False),
-                         _trusted=True)
-
-    def __mul__(self, other):
-        return self._binop(other, np.multiply, "vmul")
-
-    def __rmul__(self, other):
-        return self._binop(other, np.multiply, "vmul")
+    __add__ = __radd__ = _lanewise(np.add, "vadd")
+    __sub__ = _lanewise(np.subtract, "vsub")
+    __rsub__ = _lanewise(np.subtract, "vsub", reflected=True)
+    __mul__ = __rmul__ = _lanewise(np.multiply, "vmul")
 
     @_wrap_overflow
     def __neg__(self):
@@ -279,33 +297,54 @@ class AieVector:
 
 def vec(values: Union[Sequence, np.ndarray], dtype=None) -> AieVector:
     """Build a vector from explicit lane values (register load)."""
-    arr = np.asarray(values, dtype=dtype)
+    arr = np.asarray(values, dtype)
     if arr.ndim != 1:
         raise ValueError("vec() expects a one-dimensional sequence")
-    _check_lanes(arr.shape[0])
-    emit("vld", arr.shape[0], arr.dtype.itemsize)
-    return AieVector(arr.copy(), _trusted=True)
+    lanes = arr.shape[0]
+    if lanes not in VALID_LANES:
+        raise _lane_error(lanes)
+    if _trace._active:
+        emit("vld", lanes, arr.itemsize)
+    out = arr.copy()
+    out.setflags(False)
+    res = _new_vector(AieVector)
+    res.data = out
+    return res
 
 
 def zeros(lanes: int, dtype=np.float32) -> AieVector:
     """All-zero vector (``aie::zeros``) — register clear, no load."""
-    _check_lanes(lanes)
-    emit("vclr", lanes, np.dtype(dtype).itemsize)
-    return AieVector(np.zeros(lanes, dtype=dtype), _trusted=True)
+    if lanes not in VALID_LANES:
+        raise _lane_error(lanes)
+    if _trace._active:
+        emit("vclr", lanes, np.dtype(dtype).itemsize)
+    out = np.zeros(lanes, dtype)
+    out.setflags(False)
+    res = _new_vector(AieVector)
+    res.data = out
+    return res
 
 
 def broadcast(value, lanes: int, dtype=None) -> AieVector:
     """Splat a scalar to all lanes (``aie::broadcast``)."""
-    _check_lanes(lanes)
+    if lanes not in VALID_LANES:
+        raise _lane_error(lanes)
     if dtype is None:
         dtype = np.asarray(value).dtype
-    emit("vbcast", lanes, np.dtype(dtype).itemsize)
-    return AieVector(np.full(lanes, value, dtype=dtype), _trusted=True)
+    if _trace._active:
+        emit("vbcast", lanes, np.dtype(dtype).itemsize)
+    out = np.empty(lanes, dtype)
+    np.copyto(out, value, "unsafe")
+    out.setflags(False)
+    res = _new_vector(AieVector)
+    res.data = out
+    return res
 
 
 def iota(lanes: int, dtype=np.int32, start=0, step=1) -> AieVector:
     """Lane-index vector [start, start+step, ...]."""
-    _check_lanes(lanes)
+    if lanes not in VALID_LANES:
+        raise _lane_error(lanes)
     emit("vld", lanes, np.dtype(dtype).itemsize)
     return AieVector(
         (start + step * np.arange(lanes)).astype(dtype), _trusted=True

@@ -824,3 +824,500 @@ def test_errstate_per_thread_stress():
     finally:
         sys.setswitchinterval(old)
     assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# the per-step ops at one allocation each: frozen copies of the bodies
+# they replaced, compared on edge inputs (result bytes, dtype, read-only
+# flag and exception type, plus the micro-ops recorded on the way)
+# ---------------------------------------------------------------------------
+
+_frozen_over = np.errstate(over="ignore")
+
+
+def _frozen_check_lanes(lanes):
+    if lanes not in VALID_LANES:
+        raise ValueError(
+            f"AIE vectors support lane counts {VALID_LANES}, got {lanes}")
+
+
+def _frozen_init(data, _trusted=False):
+    """``AieVector(data, _trusted)`` as it was."""
+    v = object.__new__(AieVector)
+    if not _trusted:
+        data = np.array(data, copy=True)
+        if data.ndim != 1:
+            raise ValueError("AieVector must be one-dimensional")
+        _frozen_check_lanes(data.shape[0])
+    v.data = data
+    data.setflags(write=False)
+    return v
+
+
+def _frozen_table_push(v, value):
+    data = v.data
+    emit("vshift_elem", data.shape[0], data.itemsize)
+    idx = np.arange(-1, data.shape[0] - 1)
+    idx[0] = 0
+    out = data[idx]
+    out[0] = value
+    out.setflags(write=False)
+    res = object.__new__(AieVector)
+    res.data = out
+    return res
+
+
+def _frozen_getitem(v, i):
+    emit("vext_elem", 1, v.data.itemsize)
+    return v.data[i]
+
+
+@_frozen_over
+def _frozen_binop(v, other, ufunc, name):
+    data = v.data
+    rhs = other.data if isinstance(other, AieVector) else other
+    emit(name, data.shape[0], data.itemsize)
+    return _frozen_init(ufunc(data, rhs).astype(data.dtype, copy=False),
+                        _trusted=True)
+
+
+@_frozen_over
+def _frozen_rsub(v, other):
+    data = v.data
+    emit("vsub", data.shape[0], data.itemsize)
+    return _frozen_init((other - data).astype(data.dtype, copy=False),
+                        _trusted=True)
+
+
+def _frozen_vec(values, dtype=None):
+    arr = np.asarray(values, dtype=dtype)
+    if arr.ndim != 1:
+        raise ValueError("vec() expects a one-dimensional sequence")
+    _frozen_check_lanes(arr.shape[0])
+    emit("vld", arr.shape[0], arr.dtype.itemsize)
+    return _frozen_init(arr.copy(), _trusted=True)
+
+
+def _frozen_zeros(lanes, dtype=np.float32):
+    _frozen_check_lanes(lanes)
+    emit("vclr", lanes, np.dtype(dtype).itemsize)
+    return _frozen_init(np.zeros(lanes, dtype=dtype), _trusted=True)
+
+
+def _frozen_broadcast(value, lanes, dtype=None):
+    _frozen_check_lanes(lanes)
+    if dtype is None:
+        dtype = np.asarray(value).dtype
+    emit("vbcast", lanes, np.dtype(dtype).itemsize)
+    return _frozen_init(np.full(lanes, value, dtype=dtype), _trusted=True)
+
+
+def _frozen_exchange(data, idx, keep_min):
+    lanes, ebytes = data.shape[0], data.itemsize
+    emit("vshuffle", lanes, ebytes)
+    emit("vmin", lanes, ebytes)
+    emit("vmax", lanes, ebytes)
+    emit("vsel", lanes, ebytes)
+    partner = data[idx]
+    out = np.maximum(data, partner)
+    np.minimum(data, partner, out=out, where=keep_min)
+    return out
+
+
+def _assert_same_call(new_fn, old_fn, *args):
+    with TraceRecorder() as rec_new:
+        new = _outcome(new_fn, *args)
+    with TraceRecorder() as rec_old:
+        old = _outcome(old_fn, *args)
+    _assert_same_outcome(new, old)
+    assert rec_new.ops == rec_old.ops
+
+
+def _i16():
+    return AieVector(np.array([-32768, -2, -1, 0, 1, 2, 300, 32767],
+                              dtype=np.int16), _trusted=True)
+
+
+def _f32():
+    return AieVector(np.array([-3e38, -1.5, -0.0, 0.0, 0.25, 1 / 3, 7.0,
+                               3e38], dtype=np.float32), _trusted=True)
+
+
+#: Values a kernel can hand an int16 or float32 lane: out-of-range Python
+#: ints, NaN and infinities, float64 into float32, np.int32 into int16.
+_EDGE_VALUES = {
+    "int": 7, "int_over": 70000, "int_under": -70000, "int_neg": -5,
+    "nan": float("nan"), "np_nan": np.float64("nan"), "inf": float("inf"),
+    "float": 2.75, "f64_third": np.float64(1) / 3,
+    "np_int32_over": np.int32(70000), "np_int32": np.int32(-5),
+    "np_f32": np.float32(1.5), "bool": True, "str": "3", "list": [1, 2],
+}
+_VECTORS = {"i16": _i16, "f32": _f32}
+
+
+@pytest.mark.parametrize("value", sorted(_EDGE_VALUES))
+@pytest.mark.parametrize("lanes_of", sorted(_VECTORS))
+def test_push_edges_match_frozen(lanes_of, value):
+    v = _VECTORS[lanes_of]()
+    _assert_same_call(v.push, lambda x: _frozen_table_push(v, x),
+                      _EDGE_VALUES[value])
+
+
+@pytest.mark.parametrize("lanes", [8, 16, 3, 0, -8, 8.0, np.int64(16)])
+@pytest.mark.parametrize("dtype", [np.int16, np.float32, None])
+@pytest.mark.parametrize("value", sorted(_EDGE_VALUES))
+def test_broadcast_edges_match_frozen(value, dtype, lanes):
+    _assert_same_call(aie.broadcast, _frozen_broadcast,
+                      _EDGE_VALUES[value], lanes, dtype)
+
+
+@pytest.mark.parametrize("lanes", [2, 8, 64, 3, 0, -8, 128, 8.0,
+                                   np.int64(16), "8"])
+@pytest.mark.parametrize("dtype", [np.int16, np.float32, "int32",
+                                   np.complex64, "nonsense"])
+def test_zeros_edges_match_frozen(lanes, dtype):
+    _assert_same_call(aie.zeros, _frozen_zeros, lanes, dtype)
+
+
+_VEC_INPUTS = {
+    "f64_to_f32": (np.linspace(-1, 1, 8), np.float32),
+    "i32_to_i16": (np.array([70000, -70000] * 4, dtype=np.int32),
+                   np.int16),
+    "int_over_i16": ([70000] * 8, np.int16),
+    "nan_to_i16": ([float("nan")] * 8, np.int16),
+    "list": ([1, 2, 3, 4], None),
+    "strided": (np.arange(32, dtype=np.int16)[::2], None),
+    "three_lanes": ([1, 2, 3], None),
+    "empty": ([], np.float32),
+    "two_dim": (np.zeros((2, 8)), None),
+    "scalar": (5, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VEC_INPUTS))
+def test_vec_edges_match_frozen(case):
+    values, dtype = _VEC_INPUTS[case]
+    _assert_same_call(aie.vec, _frozen_vec, values, dtype)
+    if isinstance(values, np.ndarray):
+        out = _outcome(aie.vec, values, dtype)
+        if out[0] == "ok":
+            assert not np.shares_memory(out[1].data, values)
+
+
+@pytest.mark.parametrize("data", [
+    np.arange(8, dtype=np.int16), [1.5] * 16, np.zeros(3),
+    np.zeros((2, 8)), np.zeros(0), 7,
+], ids=["i16", "list", "three_lanes", "two_dim", "empty", "scalar"])
+def test_init_edges_match_frozen(data):
+    _assert_same_call(AieVector, _frozen_init, data)
+    _assert_same_call(lambda d: AieVector(np.asarray(d), _trusted=True),
+                      lambda d: _frozen_init(np.asarray(d), True), data)
+
+
+@pytest.mark.parametrize("i", [0, 3, -1, 7, 8, -9, np.int64(2),
+                               slice(1, 3)])
+@pytest.mark.parametrize("lanes_of", sorted(_VECTORS))
+def test_getitem_edges_match_frozen(lanes_of, i):
+    v = _VECTORS[lanes_of]()
+    _assert_same_call(lambda k: v[k], lambda k: _frozen_getitem(v, k), i)
+
+
+_BINOPS = {
+    "add": (lambda v, x: v + x,
+            lambda v, x: _frozen_binop(v, x, np.add, "vadd")),
+    "radd": (lambda v, x: x + v,
+             lambda v, x: _frozen_binop(v, x, np.add, "vadd")),
+    "sub": (lambda v, x: v - x,
+            lambda v, x: _frozen_binop(v, x, np.subtract, "vsub")),
+    "rsub": (lambda v, x: x - v, _frozen_rsub),
+    "mul": (lambda v, x: v * x,
+            lambda v, x: _frozen_binop(v, x, np.multiply, "vmul")),
+    "rmul": (lambda v, x: x * v,
+             lambda v, x: _frozen_binop(v, x, np.multiply, "vmul")),
+}
+#: Right-hand sides a reflected op can also receive (numpy scalars on
+#: the left would take the vector as a sequence instead).
+_PY_OPERANDS = {k: _EDGE_VALUES[k] for k in (
+    "int", "int_over", "int_under", "nan", "inf", "float", "bool")}
+_ARRAY_OPERANDS = {
+    "f64_third": _EDGE_VALUES["f64_third"],
+    "np_int32_over": _EDGE_VALUES["np_int32_over"],
+    "np_nan": _EDGE_VALUES["np_nan"],
+    "i16_vec": None, "f32_vec": None,
+    "i32_lanes": np.array([70000] * 8, dtype=np.int32),
+    "f64_lanes": np.full(8, 1 / 3),
+    "three": np.ones(3),
+    "list": [1] * 8,
+}
+
+
+_OP_OPERANDS = [(op, rhs) for op in sorted(_BINOPS)
+                for rhs in sorted(_PY_OPERANDS) + sorted(_ARRAY_OPERANDS)
+                if rhs in _PY_OPERANDS or not op.startswith("r")]
+
+
+@pytest.mark.parametrize("op,rhs", _OP_OPERANDS)
+@pytest.mark.parametrize("lanes_of", sorted(_VECTORS))
+def test_wrapping_ops_edges_match_frozen(lanes_of, op, rhs):
+    v = _VECTORS[lanes_of]()
+    if rhs in _PY_OPERANDS:
+        x = _PY_OPERANDS[rhs]
+    elif rhs.endswith("_vec"):
+        x = _VECTORS[rhs[:3]]()
+    else:
+        x = _ARRAY_OPERANDS[rhs]
+    new, old = _BINOPS[op]
+    _assert_same_call(lambda y: new(v, y), lambda y: old(v, y), x)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8, np.float32,
+                                   np.float64])
+def test_exchange_edges_match_frozen(dtype):
+    from repro.aieintr.sortops import _exchange
+
+    rng = np.random.default_rng(7)
+    raw = rng.integers(0, 200, 16).astype(dtype)
+    if raw.dtype.kind == "f":
+        raw[[1, 6]] = np.nan
+        raw[[2, 9]] = (-0.0, 0.0)
+    for idx, keep_min in (
+            (_butterfly_index(16, 1), bitonic_stage_dirs(16, 0, 0)),
+            (_butterfly_index(16, 8), bitonic_stage_dirs(16, 3, 0)),
+            (_butterfly_index(16, 2), np.ones(16, dtype=bool))):
+        _assert_same_call(_exchange, _frozen_exchange, raw, idx, keep_min)
+
+
+# -- the window-kernel path (farrow, IIR) ------------------------------------
+
+
+def _frozen_head_sliding_mac(acc, coeffs, data, out_lanes, start=0, step=1):
+    """``sliding_mac`` before the window path was trimmed (length checked
+    before dimensionality, properties, unguarded emit)."""
+    taps = coeffs.lanes
+    d = np.asarray(data)
+    need = start + (out_lanes - 1) * step + taps
+    if d.shape[0] < need:
+        raise ValueError("short")
+    if d.ndim != 1:
+        raise ValueError("ndim")
+    ckind, dkind = coeffs.dtype.kind, d.dtype.kind
+    if ckind == "c" or dkind == "c":
+        raise TypeError("complex")
+    total_macs = out_lanes * taps
+    if ckind == "f" or dkind == "f":
+        emit("vfpmac", total_macs, 4)
+        s = d.strides[0]
+        windows = np.lib.stride_tricks.as_strided(
+            d[start:], shape=(out_lanes, taps), strides=(s * step, s),
+            writeable=False)
+        res = windows @ coeffs.data
+        base = acc.data if acc is not None else 0
+        kind = "accfloat"
+        data_out = (base + res).astype(np.float32)
+    else:
+        emit("vmac", total_macs, coeffs.ebytes)
+        x = d[start:need].astype(np.int64, copy=False)
+        res = np.correlate(x, coeffs.data.astype(np.int64),
+                           "valid")[:out_lanes * step:step]
+        if acc is None:
+            kind = "acc80" if coeffs.ebytes >= 4 else "acc48"
+            data_out = res
+        else:
+            kind = acc.kind
+            data_out = acc.data + res
+    out = Accum(data_out, kind)
+    if not out.is_float:
+        _frozen_check_range(out)
+    return out
+
+
+def _frozen_check_range(acc):
+    bits = {"acc48": 48, "acc80": 80, "accfloat": 32}[acc.kind]
+    if acc.kind == "accfloat" or bits >= 64:
+        return
+    lim = np.int64(1) << (bits - 1)
+    d = acc.data
+    if d.size and (d.max() >= lim or d.min() < -lim):
+        raise OverflowError(f"{acc.kind} accumulator overflow")
+
+
+def _frozen_head_round_shift(values, shift, mode=RoundMode.NEAREST):
+    v = np.asarray(values, dtype=np.int64)
+    if shift < 0:
+        raise ValueError("shift")
+    if shift == 0:
+        return v.copy()
+    if mode == RoundMode.FLOOR:
+        return v >> shift
+    half = np.int64(1) << (shift - 1)
+    if mode == RoundMode.NEAREST:
+        return (v + ((v >= 0) + (half - 1))) >> shift
+    return _frozen_round_shift(v, shift, mode)
+
+
+def _frozen_srs_array(acc, shift, dtype=np.int16, mode=RoundMode.NEAREST):
+    a = np.asarray(acc)
+    emit("srs", int(a.shape[-1]) if a.ndim else 1, np.dtype(dtype).itemsize)
+    return saturate(_frozen_head_round_shift(a, shift, mode), dtype)
+
+
+def _frozen_va(op, a, b=None, *rest):
+    """The ``va_*`` bodies as they were, by name."""
+    a = np.asarray(a)
+    n = int(a.size)
+    if op in ("va_mul", "va_mac"):
+        if a.dtype.kind in "iu":
+            emit("vmul" if op == "va_mul" else "vmac", n, a.dtype.itemsize)
+            prod = a.astype(np.int64) * np.asarray(b, dtype=np.int64)
+            return prod if op == "va_mul" else \
+                np.asarray(rest[0], dtype=np.int64) + prod
+        emit("vfpmul" if op == "va_mul" else "vfpmac", n, a.dtype.itemsize)
+        return a * b if op == "va_mul" else rest[0] + a * b
+    if op == "va_round_shift":
+        emit("vsrs", n, 8)
+        return _frozen_head_round_shift(a, b, *rest)
+    if op == "va_srs":
+        dtype = rest[0] if rest else np.int16
+        emit("vsrs", n, np.dtype(dtype).itemsize)
+        return saturate(_frozen_head_round_shift(a, b, *rest[1:]), dtype)
+    name, fn = {
+        "va_add": ("vadd", lambda: a + b), "va_sub": ("vsub", lambda: a - b),
+        "va_min": ("vmin", lambda: np.minimum(a, b)),
+        "va_max": ("vmax", lambda: np.maximum(a, b)),
+        "va_copy": ("vmov", lambda: np.array(a, copy=True)),
+    }[op]
+    emit(name, n, a.dtype.itemsize)
+    return fn()
+
+
+def _frozen_va_select(mask, a, b):
+    a = np.asarray(a)
+    emit("vsel", int(a.size), a.dtype.itemsize)
+    return np.where(mask, a, b)
+
+
+_I64_EDGES = np.array([-(1 << 63), (1 << 63) - 1, -(1 << 47), (1 << 47) - 1,
+                       -16385, -16384, -1, 0, 1, 16384, 16385],
+                      dtype=np.int64)
+
+
+def _taps(*values, dtype=np.int16):
+    return np.array(values, dtype=dtype)
+
+
+@pytest.mark.parametrize("data,coeffs,acc", [
+    (np.ones((2, 2000), dtype=np.int16), _taps(1, 2, 3, 4), None),
+    (np.ones((2, 2), dtype=np.int16), _taps(1, 2, 3, 4), None),
+    (np.ones(5, dtype=np.int16), _taps(1, 2, 3, 4), None),
+    (np.zeros(12, dtype=np.float32),
+     _taps(-0.5, -1.0, 0.0, -2.0, dtype=np.float32), None),
+    (-np.ones(12), _taps(0, 0, 0, 0, dtype=np.float64), None),
+    (np.arange(12, dtype=np.float32),
+     _taps(0.5, 1, 2, 4, dtype=np.float32), "accfloat"),
+    (np.full(12, 32767, dtype=np.int16), _taps(*[32767] * 4), "acc48"),
+    (np.full(12, -(1 << 31), dtype=np.int64), _taps(*[-(1 << 15)] * 4),
+     None),
+    (np.arange(12, dtype=np.uint64), _taps(1, 2, 3, 4, dtype=np.uint16),
+     None),
+    (np.arange(12, dtype=np.int32), _taps(1, 2, 3, 4, dtype=np.int64),
+     "acc80"),
+    (np.ones(12, dtype=np.complex64), _taps(1, 2, 3, 4), None),
+], ids=["2x2000", "2x2", "short", "neg_zero_f32", "neg_zero_f64",
+        "float_acc", "acc48_overflow", "int64_wrap", "unsigned",
+        "acc80", "complex"])
+def test_sliding_mac_edges_match_frozen(data, coeffs, acc):
+    if acc == "accfloat":
+        acc = Accum(np.full(4, -0.0, dtype=np.float32), acc)
+    elif acc is not None:
+        acc = Accum(np.full(4, (1 << 47) - 100, dtype=np.int64), acc)
+    for start, step in ((0, 1), (1, 2)):
+        _assert_same_call(aie.sliding_mac, _frozen_head_sliding_mac,
+                          acc, aie.vec(coeffs), data, 4, start, step)
+
+
+def test_sliding_mac_checks_dimensionality_first():
+    taps = aie.vec(np.arange(4, dtype=np.int16))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        aie.sliding_mac(None, taps, np.ones((2, 2000), dtype=np.int16),
+                        1024)
+
+
+@pytest.mark.parametrize("kind", ["acc48", "acc80", "accfloat"])
+@pytest.mark.parametrize("data", [
+    np.array([(1 << 47) - 1, -(1 << 47)], dtype=np.int64),
+    np.array([1 << 47], dtype=np.int64),
+    np.array([-(1 << 47) - 1], dtype=np.int64),
+    np.zeros(0, dtype=np.int64),
+    np.array([[0, 1], [2, (1 << 47)]], dtype=np.int64),
+    np.array([[0, 1], [2, 3]], dtype=np.int64),
+    np.array(5, dtype=np.int64),
+    _I64_EDGES,
+], ids=["limits", "over", "under", "empty", "2d_over", "2d_in", "0d",
+        "int64_edges"])
+def test_check_range_edges_match_frozen(kind, data):
+    def checked(check):
+        def call(d):
+            acc = Accum(d, kind)
+            check(acc)
+            return acc
+        return call
+
+    _assert_same_call(checked(Accum._check_range),
+                      checked(_frozen_check_range), data)
+
+
+@pytest.mark.parametrize("mode", RoundMode.ALL)
+@pytest.mark.parametrize("shift", [0, 1, 15, 47, 62, 63, -1])
+def test_round_shift_and_srs_edges_match_frozen(shift, mode):
+    inputs = [_I64_EDGES, _I64_EDGES.reshape(1, -1), np.float64(-2.5),
+              [3, -3], np.arange(-8, 8, dtype=np.int16)]
+    inputs += [np.asarray(x) for x in _I64_EDGES]
+    for v in inputs:
+        _assert_same_call(round_shift, _frozen_head_round_shift, v, shift,
+                          mode)
+        for dtype in (np.int16, np.int8, np.int64, np.float32):
+            _assert_same_call(aie.srs_array, _frozen_srs_array, v, shift,
+                              dtype, mode)
+
+
+_VA_OPERANDS = {
+    "i16": np.arange(-8, 8, dtype=np.int16),
+    "i64_edges": _I64_EDGES,
+    "f32": np.linspace(-2, 2, 16, dtype=np.float32),
+    "list": [1, -2, 3],
+    "0d": np.asarray(np.int64(-7)),
+}
+
+
+@pytest.mark.parametrize("a", sorted(_VA_OPERANDS))
+@pytest.mark.parametrize("op", ["va_add", "va_sub", "va_mul", "va_mac",
+                                "va_round_shift", "va_srs", "va_min",
+                                "va_max", "va_select", "va_copy"])
+def test_va_edges_match_frozen(op, a):
+    a = _VA_OPERANDS[a]
+    fn = getattr(aie, op)
+    n = np.shape(a)
+    args = {
+        "va_add": [(a, 3), (a, np.int32(70000)), (a, 2.5)],
+        "va_sub": [(a, 3), (a, np.float64(1) / 3)],
+        "va_mul": [(a, 13107), (a, np.int64(-1) << 40), (a, 0.5)],
+        "va_mac": [(np.int64(5), a, 13107), (np.zeros(n), a, 2)],
+        "va_round_shift": [(a, 15), (a, 0), (a, 1, RoundMode.EVEN)],
+        "va_srs": [(a, 15), (a, 3, np.int8), (a, 1, np.int16,
+                                               RoundMode.FLOOR)],
+        "va_min": [(a, 0)], "va_max": [(a, 0)],
+        "va_select": [(np.ones(n, dtype=bool), a, 0),
+                      (np.zeros(n, dtype=bool), a, 2.5)],
+        "va_copy": [(a,)],
+    }[op]
+    for call in args:
+        if op == "va_select":
+            _assert_same_call(fn, _frozen_va_select, *call)
+            continue
+        if op == "va_mac":
+            # va_mac(acc, a, b): the frozen form takes the operand first.
+            acc, x, b = call
+            _assert_same_call(fn, lambda c, y, z: _frozen_va(op, y, z, c),
+                              acc, x, b)
+            continue
+        _assert_same_call(fn, lambda *xs: _frozen_va(op, *xs), *call)

@@ -5,8 +5,10 @@ one contiguous signal.  Their outputs must stay bit-identical to the
 per-block kernels at every boundary of the read size, whichever way the
 input reaches them: a list of blocks, an ndarray container (read as
 views by a fused chain's ``SourceFeed``), or ``validate=True`` ports.
-A call-count gate keeps the fused IIR block cost from sliding back to a
-per-block Python loop.
+Call-count gates keep the fused IIR block cost from sliding back to a
+per-block Python loop, and the unfused bilinear and bitonic block costs
+(one ``repro.aieintr`` op per stream element or lane step) from
+sliding back to several Python frames per op.
 """
 
 import sys
@@ -15,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.apps import datasets, farrow, iir
+from repro.apps import bilinear, bitonic, datasets, farrow, iir
 from repro.exec import run_graph
 
 _IIR_B = iir.IIR_IO_BATCH
@@ -129,3 +131,46 @@ def test_fused_iir_calls_per_block():
     assert per_block <= MAX_CALLS_PER_FUSED_IIR_BLOCK, (
         f"fused IIR costs {per_block:.1f} Python calls per extra block, "
         f"bound {MAX_CALLS_PER_FUSED_IIR_BLOCK}")
+
+
+#: Upper bounds on the Python calls one more unfused 256-sample
+#: bilinear block, and one more 16-element bitonic block, cost on
+#: cgsim: exactly the counts reached once the per-step vector ops
+#: became one frame each (10,592 and 206 with a frame per emit, a
+#: two-level dispatch per wrapping op and ``__init__`` per result).
+#: Ports, queues and the scheduler make up the rest.
+MAX_CALLS_PER_BILINEAR_BLOCK = 7040
+MAX_CALLS_PER_BITONIC_BLOCK = 130
+
+
+def _calls_per_extra_block(run, small, large):
+    run(small)
+    run(large)                  # warm caches (lane tables, lru tables)
+    return (_count_calls(lambda: run(large))
+            - _count_calls(lambda: run(small))) / (large - small)
+
+
+def test_unfused_bilinear_calls_per_block():
+    pixels, fracs = datasets.bilinear_blocks(6)
+
+    def run(n):
+        run_graph(bilinear.BILINEAR_GRAPH, pixels[:n].reshape(-1),
+                  fracs[:n].reshape(-1), [], backend="cgsim")
+
+    per_block = _calls_per_extra_block(run, 2, 6)
+    assert per_block <= MAX_CALLS_PER_BILINEAR_BLOCK, (
+        f"unfused bilinear costs {per_block:.1f} Python calls per extra "
+        f"block, bound {MAX_CALLS_PER_BILINEAR_BLOCK}")
+
+
+def test_unfused_bitonic_calls_per_block():
+    blocks = datasets.bitonic_blocks(256)
+
+    def run(n):
+        run_graph(bitonic.BITONIC_GRAPH, blocks[:n].reshape(-1), [],
+                  backend="cgsim")
+
+    per_block = _calls_per_extra_block(run, 64, 256)
+    assert per_block <= MAX_CALLS_PER_BITONIC_BLOCK, (
+        f"unfused bitonic costs {per_block:.1f} Python calls per extra "
+        f"block, bound {MAX_CALLS_PER_BITONIC_BLOCK}")

@@ -168,3 +168,38 @@ def test_sink_overflow_raises_as_on_cgsim():
                     "items", StreamTypeError)
     assert got == want
     assert got_sink.tobytes() == want_sink.tobytes()
+
+
+def _farm_overflow_isolated(backend, sinks):
+    """BITONIC_FARM4 (4 blocks per lane) into *sinks* under
+    ``on_error="isolate"``: the result and the report's wire form
+    without its run id."""
+    options = {"workers": 2} if backend == "cgsim-mp" else {}
+    result = run_graph(BITONIC_FARM4, *bitonic_farm_io(4), *sinks,
+                       backend=backend, on_error="isolate", **options)
+    report = result.failure.to_dict()
+    report.pop("run_id", None)
+    return result, report
+
+
+@pytest.mark.parametrize("small", [(0, 1, 2, 3), (2,)],
+                         ids=["every-sink", "lane-2"])
+def test_sink_overflow_is_contained_as_on_cgsim(small):
+    """Sink arrays one block each, too small for the run: cgsim-mp
+    contains the store errors as cgsim does, with the same report
+    fields and the same stored prefix in every sink."""
+    def sinks():
+        return [np.zeros(16, np.float32) if i in small else []
+                for i in range(4)]
+
+    want_sinks, got_sinks = sinks(), sinks()
+    want, want_report = _farm_overflow_isolated("cgsim", want_sinks)
+    got, got_report = _farm_overflow_isolated("cgsim-mp", got_sinks)
+    assert not want.completed and not got.completed
+    assert want_report["failing_task"] == f"sink[{small[0]}]"
+    assert [f["error_type"] for f in want_report["failures"]] == \
+        ["StreamTypeError"] * len(small)
+    assert got_report == want_report
+    assert got.items_out == want.items_out
+    for g, w in zip(got_sinks, want_sinks):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
