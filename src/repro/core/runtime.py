@@ -246,6 +246,15 @@ class RuntimeContext:
                 self._outputs.append(
                     (gio.io_index, container, net.dtype, cursor))
 
+    def discard(self) -> None:
+        """Close the suspended task coroutines of a context that will
+        never run (its I/O failed to bind), so none is left for the
+        garbage collector to finalize un-awaited."""
+        for _name, coro in self._kernel_coros:
+            coro.close()
+        for _idx, coro in self._sources + self._sinks:
+            coro.close()
+
     # -- item accounting / checkpoint state --------------------------------------------
 
     def _count_items_in(self) -> int:

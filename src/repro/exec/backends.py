@@ -46,7 +46,11 @@ class CgsimBackend(ExecutionBackend):
         rt = RuntimeContext(g, spec, optimize_plan=get_plan(graph, g, level)
                             if level != "none" else None)
         if io or g.inputs or g.outputs:
-            rt.bind_io(*io)
+            try:
+                rt.bind_io(*io)
+            except BaseException:
+                rt.discard()
+                raise
         return ExecutionPlan(backend=self.name, graph=g, io=io,
                              state=rt, spec=spec)
 

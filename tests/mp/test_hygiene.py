@@ -1,9 +1,10 @@
 """cgsim-mp leaves nothing behind: no process, no file descriptor and
 no ``/dev/shm`` entry outlives a run, whether it ends cleanly, loses a
-worker, re-raises a remote failure, stalls or fails to store a sink —
-without waiting for the cyclic garbage collector — and a forked process
-that makes sharded calls and leaves with ``os._exit`` (the way
-``perfbench`` samples set-up time) leaves no process of its own alive.
+worker, re-raises a remote failure, stalls or fails to store a sink
+(raised or contained) — without waiting for the cyclic garbage
+collector — and a forked process that makes sharded calls and leaves
+with ``os._exit`` (the way ``perfbench`` samples set-up time) leaves no
+process of its own alive.
 Nor does it fork with a monitor thread alive: the run core starts the
 watchdog only once the farm has forked.
 """
@@ -140,9 +141,21 @@ def _sink_overflow():
     return info
 
 
+def _sink_contained():
+    """The same store error contained under ``isolate``: the report
+    the caller holds keeps the error, and the hand-back files close
+    all the same."""
+    sinks = [[], [], np.zeros(16, np.float32), []]
+    result = run_graph(BITONIC_FARM4, *bitonic_farm_io(2), *sinks,
+                       backend="cgsim-mp", workers=2, on_error="isolate")
+    assert result.failure is not None and not result.completed
+    return result
+
+
 CASES = {"clean": _clean, "ring": _ring, "worker_exit": _worker_exit,
          "remote_raise": _remote_raise, "stall": _stall,
-         "sink_overflow": _sink_overflow}
+         "sink_overflow": _sink_overflow,
+         "sink_contained": _sink_contained}
 
 
 def _open_fds():
